@@ -20,7 +20,9 @@ namespace resacc {
 // synchronous whole-graph forward push. After round k the unconverted mass
 // is (1 - alpha)^k(+ policy effects), so the L1 error is below
 // `tolerance` once the alive mass drops under it — that residual mass is
-// the additive error bound the paper's Table I lists for Power.
+// the additive error bound the paper's Table I lists for Power. The sweep
+// is core/power_iter.h's RunDensePowerIter, run from the unit impulse
+// r(s) = 1 — the same one the hybrid dense path runs from drained residues.
 class PowerIteration : public SsrwrAlgorithm {
  public:
   PowerIteration(const Graph& graph, const RwrConfig& config,

@@ -1,7 +1,6 @@
 #include "resacc/core/batch_solver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <type_traits>
 #include <utility>
 
@@ -86,9 +85,7 @@ BatchSolver::BatchSolver(const Graph& graph, const RwrConfig& config,
                          const ResAccOptions& options)
     : graph_(graph),
       config_(config),
-      backend_(Backend::kResAcc),
       resacc_options_(options),
-      walk_scale_(options.walk_scale),
       name_("BatchResAcc"),
       frontier_(graph.num_nodes()),
       scratch_(graph.num_nodes()),
@@ -100,46 +97,6 @@ BatchSolver::BatchSolver(const Graph& graph, const RwrConfig& config,
   r_max_f_ = options.r_max_f > 0.0
                  ? options.r_max_f
                  : 1.0 / (10.0 * static_cast<Score>(graph.num_edges()));
-}
-
-BatchSolver::BatchSolver(const Graph& graph, const RwrConfig& config,
-                         const ForaOptions& options)
-    : graph_(graph),
-      config_(config),
-      backend_(Backend::kFora),
-      fora_options_(options),
-      walk_scale_(options.walk_scale),
-      name_("BatchFORA"),
-      frontier_(graph.num_nodes()),
-      scratch_(graph.num_nodes()),
-      seed_frontier_(graph.num_nodes()),
-      rng_(config.seed),
-      walk_engine_(options.walk_threads) {
-  RESACC_CHECK(config_.Validate().ok());
-  if (options.r_max > 0.0) {
-    fora_r_max_ = options.r_max;
-  } else {
-    const double c = config_.WalkCountCoefficient();
-    fora_r_max_ =
-        1.0 / std::sqrt(static_cast<double>(graph_.num_edges()) * c);
-  }
-}
-
-BatchSolver::BatchSolver(const Graph& graph, const RwrConfig& config,
-                         const MonteCarloBatchOptions& options)
-    : graph_(graph),
-      config_(config),
-      backend_(Backend::kMonteCarlo),
-      mc_options_(options),
-      walk_scale_(options.walk_scale),
-      name_("BatchMC"),
-      frontier_(graph.num_nodes()),
-      scratch_(graph.num_nodes()),
-      seed_frontier_(graph.num_nodes()),
-      rng_(config.seed),
-      walk_engine_(options.walk_threads) {
-  RESACC_CHECK(config_.Validate().ok());
-  RESACC_CHECK(walk_scale_ > 0.0);
 }
 
 std::vector<ControlledQueryResult> BatchSolver::QueryBatch(
@@ -170,33 +127,8 @@ std::vector<ControlledQueryResult> BatchSolver::QueryBatch(
   dense_mask_ = 0;
 
   std::vector<ControlledQueryResult> results(num_lanes_);
-  switch (backend_) {
-    case Backend::kResAcc:
-      state_.Configure(graph_.num_nodes(), num_lanes_);
-      RunResAccBatch(lanes, results);
-      break;
-    case Backend::kFora:
-      state_.Configure(graph_.num_nodes(), num_lanes_);
-      RunForaBatch(lanes, results);
-      break;
-    case Backend::kMonteCarlo:
-      RunMonteCarloBatch(lanes, results);
-      break;
-  }
-  // FORA/MC have no bound-certificate machinery; their top-k lanes mirror
-  // the serial SsrwrAlgorithm::QueryTopK default — the full solve above
-  // (bit-identical to serial) bracketed at its achieved epsilon.
-  if (topk_out_ != nullptr && backend_ != Backend::kResAcc) {
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (lanes[i].top_k == 0) continue;
-      TopKResult& tk = (*topk_out_)[i];
-      tk = MakeApproximateTopK(results[i].scores, lanes[i].top_k,
-                               results[i].achieved_epsilon,
-                               results[i].degraded,
-                               results[i].uncorrected_mass);
-      tk.status = results[i].status;
-    }
-  }
+  state_.Configure(graph_.num_nodes(), num_lanes_);
+  RunResAccBatch(lanes, results);
   topk_out_ = nullptr;
   return results;
 }
@@ -268,7 +200,7 @@ void BatchSolver::ScheduleLanes(NodeId v, const Score* rv,
 
 void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
                             std::span<LaneRun> runs,
-                            BatchFrontier* frontier) {
+                            BatchFrontier& frontier) {
   const std::size_t B = num_lanes_;
   const Score alpha = config_.alpha;
   const Score keep = 1.0 - config_.alpha;
@@ -341,7 +273,7 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
         for (std::size_t i = 0; i < neighbors.size(); ++i) {
           if (prefetch_ && i + 8 < neighbors.size()) {
             __builtin_prefetch(state_.ResidueRow(neighbors[i + 8]), 1, 1);
-            if (frontier != nullptr) frontier->PrefetchMasks(neighbors[i + 8]);
+            frontier.PrefetchMasks(neighbors[i + 8]);
           }
           const NodeId v = neighbors[i];
           state_.Touch(v, active);
@@ -353,10 +285,10 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
           // Self-loops are skipped exactly: u's active residues are zeroed
           // right after this loop (and its gated-but-inactive ones are
           // non-positive), so the serial condition on u is always false.
-          if (frontier == nullptr || v == u) continue;
-          const LaneMask unscheduled = gate & ~frontier->scheduled(v);
+          if (v == u) continue;
+          const LaneMask unscheduled = gate & ~frontier.scheduled(v);
           if (unscheduled == 0) continue;
-          ScheduleLanes(v, rv, unscheduled, r_max, *frontier);
+          ScheduleLanes(v, rv, unscheduled, r_max, frontier);
         }
       };
       switch (B) {
@@ -388,7 +320,7 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
       for (std::size_t i = 0; i < neighbors.size(); ++i) {
         if (prefetch_ && i + 8 < neighbors.size()) {
           __builtin_prefetch(state_.ResidueRow(neighbors[i + 8]), 1, 1);
-          if (frontier != nullptr) frontier->PrefetchMasks(neighbors[i + 8]);
+          frontier.PrefetchMasks(neighbors[i + 8]);
         }
         const NodeId v = neighbors[i];
         state_.Touch(v, bit);
@@ -397,21 +329,21 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
         // Fused scheduling, same reasoning as the blended kernel. The
         // candidates are the full gate: lanes whose push was a no-op still
         // run their serial sweep, and their rv entries are untouched here.
-        if (frontier == nullptr || v == u) continue;
-        const LaneMask unscheduled = gate & ~frontier->scheduled(v);
+        if (v == u) continue;
+        const LaneMask unscheduled = gate & ~frontier.scheduled(v);
         if (unscheduled == 0) continue;
-        ScheduleLanes(v, rv, unscheduled, r_max, *frontier);
+        ScheduleLanes(v, rv, unscheduled, r_max, frontier);
       }
       ru[b] = 0.0;
-    } else if (frontier != nullptr) {
+    } else {
       // Every gated push was a no-op (non-positive residue): nothing is
       // deposited or zeroed, but the serial search still runs its
       // scheduling sweep over the row with the residues unchanged —
       // including a self-loop back to u itself.
       for (const NodeId v : neighbors) {
-        const LaneMask unscheduled = gate & ~frontier->scheduled(v);
+        const LaneMask unscheduled = gate & ~frontier.scheduled(v);
         if (unscheduled == 0) continue;
-        ScheduleLanes(v, state_.ResidueRow(v), unscheduled, r_max, *frontier);
+        ScheduleLanes(v, state_.ResidueRow(v), unscheduled, r_max, frontier);
       }
     }
     const auto active_lanes =
@@ -420,36 +352,15 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
     last_stats_.edge_traversals +=
         static_cast<std::uint64_t>(degree) * active_lanes;
   }
-  if (frontier == nullptr) return;
   if (config_.dangling == DanglingPolicy::kBackToSource) {
     for (LaneMask m = gate; m != 0; m &= m - 1) {
       const std::size_t b = BatchPushState::LaneOf(m);
       const NodeId src = runs[b].source;
-      if ((frontier->scheduled(src) & (LaneMask{1} << b)) != 0) continue;
+      if ((frontier.scheduled(src) & (LaneMask{1} << b)) != 0) continue;
       if (LaneCond(src, b, r_max)) {
-        frontier->Schedule(src, LaneMask{1} << b);
+        frontier.Schedule(src, LaneMask{1} << b);
       }
     }
-  }
-}
-
-void BatchSolver::ProcessSeedRound(std::size_t b, bool unconditional,
-                                   Score r_max, std::span<LaneRun> runs,
-                                   BatchFrontier& frontier) {
-  LaneRun& run = runs[b];
-  const LaneMask bit = LaneMask{1} << b;
-  std::uint64_t pops = 0;
-  for (NodeId s : run.seeds) {
-    // Consume the lane's seed bit even when the lane is detached, so no
-    // stale mask survives the round.
-    if (frontier.TakeSeed(s, bit) == 0) continue;
-    if (run.detached) continue;
-    if ((++pops & 0x1FF) == 0) {
-      PollLanes(runs);
-      if (run.detached) continue;
-    }
-    if (!unconditional && !LaneCond(s, b, r_max)) continue;
-    ApplyPush(s, bit, r_max, runs, &frontier);
   }
 }
 
@@ -468,7 +379,7 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
   constexpr std::size_t kRowAhead = 12;
   constexpr std::size_t kDepositAhead = 3;
   constexpr std::size_t kDepositFanout = 16;
-  // Hybrid selection point 2 (ResAcc backend only): the serial solver's
+  // Hybrid selection point 2: the serial solver's
   // OMFWD round hook compares the remedy cost of the outstanding residues
   // against the dense bound at every wavefront promotion. A lane's
   // promotion point in the shared sweep is its first pop of each round
@@ -478,9 +389,8 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
   // decision. A lane that switches is masked out from this pop on, exactly
   // where the serial search would have stopped (before the popped node's
   // gate re-check).
-  const bool hybrid_on = backend_ == Backend::kResAcc &&
-                         resacc_options_.hybrid.enable &&
-                         resacc_options_.use_hop_subgraph;
+  const bool hybrid_on =
+      resacc_options_.hybrid.enable && resacc_options_.use_hop_subgraph;
   std::size_t lane_round[kMaxLanes] = {};
   std::uint64_t pops = 0;
   NodeId u = 0;
@@ -497,7 +407,8 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
         if (lane_round[b] == round) continue;
         lane_round[b] = round;
         if (DenseBeatsRemedy(graph_, config_, resacc_options_.hybrid,
-                             state_.LaneResidueSum(b), walk_scale_)) {
+                             state_.LaneResidueSum(b),
+                             resacc_options_.walk_scale)) {
           runs[b].path = SolverPath::kDenseResidueMass;
           dense_mask_ |= LaneMask{1} << b;
           mask &= ~(LaneMask{1} << b);
@@ -548,20 +459,17 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
       }
     }
     if (gate == 0) continue;
-    ApplyPush(u, gate, r_max, runs, &frontier);
+    ApplyPush(u, gate, r_max, runs, frontier);
   }
 }
 
 void BatchSolver::FinishLane(std::size_t b, LaneRun& run,
-                             double remedy_budget_seconds,
                              ControlledQueryResult& result, TopKResult* topk) {
   if (topk != nullptr && run.top_k > 0) {
     FinishLaneTopK(b, run, result, *topk);
     return;
   }
-  if (backend_ == Backend::kResAcc && resacc_options_.hybrid.enable) {
-    RecordHybridSelection(run.path);
-  }
+  if (resacc_options_.hybrid.enable) RecordHybridSelection(run.path);
   if (!run.detached && run.path != SolverPath::kLocal) {
     // Dense lane: bridge reserves AND residues into the scratch state in
     // the lane's serial touched order, then run the exact dense finish the
@@ -619,8 +527,8 @@ void BatchSolver::FinishLane(std::size_t b, LaneRun& run,
     Rng query_rng = rng_.Fork(run.source);
     const RemedyStats remedy = RunRemedy(
         graph_, config_, run.source, scratch_, query_rng,
-        result.scores, walk_scale_, remedy_budget_seconds, &walk_engine_,
-        run.cancel);
+        result.scores, resacc_options_.walk_scale,
+        /*time_budget_seconds=*/0.0, &walk_engine_, run.cancel);
     if (remedy.cancelled) result.status = run.cancel->StopStatus();
     uncorrected = remedy.uncorrected_mass;
   }
@@ -679,7 +587,8 @@ void BatchSolver::FinishLaneTopK(std::size_t b, LaneRun& run,
   }
   Rng query_rng = rng_.Fork(run.source);
   topk = SolveTopKFromState(graph_, config_, run.source, run.top_k, r_max_f_,
-                            walk_scale_, resacc_options_.topk, scratch_,
+                            resacc_options_.walk_scale, resacc_options_.topk,
+                            scratch_,
                             query_rng, &walk_engine_, run.cancel, push_status);
   // Mirror the tags into the lane's ControlledQueryResult row so callers'
   // uniform status/epsilon accounting keeps working; scores stay empty.
@@ -831,84 +740,12 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
   // ---- Phase 3: remedy, per lane (walks do not amortize across lanes).
   // Top-k lanes take the bound-certificate finish instead.
   for (std::size_t b = 0; b < B; ++b) {
-    FinishLane(b, runs[b], /*remedy_budget_seconds=*/0.0, results[b],
+    FinishLane(b, runs[b], results[b],
                topk_out_ != nullptr ? &(*topk_out_)[b] : nullptr);
   }
   last_stats_.remedy_seconds = phase_timer.ElapsedSeconds() -
                                last_stats_.hop_seconds -
                                last_stats_.omfwd_seconds;
-}
-
-void BatchSolver::RunForaBatch(std::span<const BatchLane> lanes,
-                               std::vector<ControlledQueryResult>& results) {
-  const std::size_t B = num_lanes_;
-  frontier_.Clear();
-  Timer total;
-  std::vector<LaneRun> runs(B);
-  for (std::size_t b = 0; b < B; ++b) {
-    runs[b].source = lanes[b].source;
-    runs[b].cancel = lanes[b].cancel;
-  }
-  PollLanes(runs);
-
-  for (std::size_t b = 0; b < B; ++b) {
-    LaneRun& run = runs[b];
-    if (run.detached) continue;
-    const LaneMask bit = LaneMask{1} << b;
-    state_.Touch(run.source, bit);
-    state_.ResidueRow(run.source)[b] = 1.0;
-    run.initialized = true;
-    run.seeds.assign(1, run.source);
-    frontier_.MarkSeed(run.source, bit);
-  }
-  for (std::size_t b = 0; b < B; ++b) {
-    ProcessSeedRound(b, /*unconditional=*/false, fora_r_max_, runs,
-                     frontier_);
-  }
-  SharedRounds(fora_r_max_, runs, frontier_);
-
-  PollLanes(runs);
-
-  for (std::size_t b = 0; b < B; ++b) {
-    double remaining_budget = 0.0;
-    if (fora_options_.time_budget_seconds > 0.0) {
-      // The budget covers the whole batch (the serial solver charges each
-      // query its own clock; a batch shares one).
-      remaining_budget =
-          fora_options_.time_budget_seconds - total.ElapsedSeconds();
-      if (remaining_budget <= 0.0) remaining_budget = 1e-9;
-    }
-    FinishLane(b, runs[b], remaining_budget, results[b]);
-  }
-}
-
-void BatchSolver::RunMonteCarloBatch(
-    std::span<const BatchLane> lanes,
-    std::vector<ControlledQueryResult>& results) {
-  const std::uint64_t num_walks = static_cast<std::uint64_t>(
-      std::ceil(config_.WalkCountCoefficient() * walk_scale_));
-  RESACC_CHECK(num_walks > 0);
-  for (std::size_t b = 0; b < lanes.size(); ++b) {
-    ControlledQueryResult& result = results[b];
-    result.achieved_epsilon = config_.epsilon;
-    result.scores.assign(graph_.num_nodes(), 0.0);
-    const Score weight = 1.0 / static_cast<Score>(num_walks);
-    Rng query_rng = rng_.Fork(lanes[b].source);
-    const WalkSlice slice{lanes[b].source, num_walks, weight,
-                          /*stream=*/lanes[b].source};
-    const WalkEngineStats engine_stats = walk_engine_.Run(
-        graph_, config_, lanes[b].source, query_rng, std::span(&slice, 1),
-        result.scores, /*time_budget_seconds=*/0.0, lanes[b].cancel);
-    if (engine_stats.cancelled) {
-      result.status = lanes[b].cancel->StopStatus();
-    }
-    result.uncorrected_mass = engine_stats.skipped_mass;
-    if (result.uncorrected_mass > 0.0) {
-      result.degraded = true;
-      result.achieved_epsilon =
-          config_.epsilon + result.uncorrected_mass / config_.delta;
-    }
-  }
 }
 
 }  // namespace resacc

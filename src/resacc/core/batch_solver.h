@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "resacc/algo/fora.h"
 #include "resacc/core/frontier.h"
 #include "resacc/core/push_state.h"
 #include "resacc/core/resacc_solver.h"
@@ -34,12 +33,6 @@ struct BatchLane {
   std::size_t top_k = 0;
 };
 
-// Options of the Monte-Carlo batch backend (mirrors the MonteCarlo ctor).
-struct MonteCarloBatchOptions {
-  double walk_scale = 1.0;
-  std::size_t walk_threads = 1;
-};
-
 // Aggregate diagnostics of the most recent QueryBatch call.
 struct BatchQueryStats {
   std::uint64_t push_operations = 0;  // lane pushes, summed over lanes
@@ -50,7 +43,7 @@ struct BatchQueryStats {
   std::uint64_t shared_node_pops = 0;
   // Lane pushes served by the dense all-lanes kernel (the vectorized path).
   std::uint64_t dense_lane_pushes = 0;
-  // Wall-clock phase split of the ResAcc backend (zero for FORA/MC).
+  // Wall-clock phase split of the batch.
   double hop_seconds = 0.0;
   double omfwd_seconds = 0.0;
   double remedy_seconds = 0.0;
@@ -139,15 +132,16 @@ class BatchPushState {
 // shared frontier sweep per phase, so each CSR row read during the shared
 // rounds serves every lane that scheduled the node, and the per-lane
 // residue updates run as contiguous compiler-vectorized loops over the SoA
-// lanes. Backends: the full ResAcc pipeline (default), FORA, and Monte
-// Carlo (per-lane; walks do not amortize).
+// lanes. It runs the ResAcc pipeline: h-HopFWD and the OMFWD seed round
+// per lane, the shared OMFWD rounds, then remedy walks per lane (walks do
+// not amortize).
 //
 // Contract (the tentpole guarantees):
-//  * Per-source results are BIT-IDENTICAL to the corresponding serial
-//    solver (ResAccSolver / Fora / MonteCarlo with the same graph, config
-//    and options) for every lane that runs to completion. Each lane's
-//    floating-point operation sequence is replayed exactly — see
-//    frontier.h's round discipline and DESIGN.md "Batched solving".
+//  * Per-source results are BIT-IDENTICAL to a serial ResAccSolver with
+//    the same graph, config and options for every lane that runs to
+//    completion. Each lane's floating-point operation sequence is replayed
+//    exactly — see frontier.h's round discipline and DESIGN.md "Batched
+//    solving".
 //  * Each lane carries its own epsilon accounting: a complete lane reports
 //    the configured epsilon (Definition 1 holds per source); a detached
 //    lane reports epsilon + uncorrected_mass / delta, exactly like a
@@ -162,15 +156,8 @@ class BatchSolver {
  public:
   static constexpr std::size_t kMaxLanes = BatchFrontier::kMaxLanes;
 
-  // ResAcc backend (the default pipeline: h-HopFWD + OMFWD + remedy).
   BatchSolver(const Graph& graph, const RwrConfig& config,
               const ResAccOptions& options = {});
-  // FORA backend (forward push + remedy).
-  BatchSolver(const Graph& graph, const RwrConfig& config,
-              const ForaOptions& options);
-  // Monte-Carlo backend.
-  BatchSolver(const Graph& graph, const RwrConfig& config,
-              const MonteCarloBatchOptions& options);
 
   const std::string& name() const { return name_; }
 
@@ -180,11 +167,10 @@ class BatchSolver {
   //
   // Lanes with top_k > 0 require a non-null `topk_results` (resized and
   // indexed like `lanes`); each such lane gets the serial QueryTopK's
-  // bit-identical TopKResult — the ResAcc backend bridges the lane's
-  // post-OMFWD state into the shared SolveTopKFromState finish, the
-  // FORA/MC backends mirror their serial default (full solve + bracket) —
-  // and its ControlledQueryResult carries only the status/epsilon tags
-  // (scores left empty). Full-vector lanes leave their TopKResult empty.
+  // bit-identical TopKResult — the lane's post-OMFWD state is bridged into
+  // the shared SolveTopKFromState finish — and its ControlledQueryResult
+  // carries only the status/epsilon tags (scores left empty). Full-vector
+  // lanes leave their TopKResult empty.
   std::vector<ControlledQueryResult> QueryBatch(
       std::span<const BatchLane> lanes,
       std::vector<TopKResult>* topk_results = nullptr);
@@ -197,7 +183,6 @@ class BatchSolver {
   const BatchQueryStats& last_stats() const { return last_stats_; }
 
  private:
-  enum class Backend { kResAcc, kFora, kMonteCarlo };
   using LaneMask = BatchFrontier::LaneMask;
 
   // Per-lane working data of one QueryBatch call.
@@ -218,10 +203,6 @@ class BatchSolver {
 
   void RunResAccBatch(std::span<const BatchLane> lanes,
                       std::vector<ControlledQueryResult>& results);
-  void RunForaBatch(std::span<const BatchLane> lanes,
-                    std::vector<ControlledQueryResult>& results);
-  void RunMonteCarloBatch(std::span<const BatchLane> lanes,
-                          std::vector<ControlledQueryResult>& results);
 
   // Polls every live lane's token and detaches the fired ones.
   void PollLanes(std::span<LaneRun> runs);
@@ -238,9 +219,9 @@ class BatchSolver {
 
   // One batched push at `u` for the lanes of `gate` (the lanes that popped
   // the node and passed their gating), plus the post-push scheduling sweep
-  // when `frontier` is non-null.
+  // into `frontier`.
   void ApplyPush(NodeId u, LaneMask gate, Score r_max,
-                 std::span<LaneRun> runs, BatchFrontier* frontier);
+                 std::span<LaneRun> runs, BatchFrontier& frontier);
 
   // Schedules into `frontier` the lanes of `candidates` whose post-deposit
   // residue row `rv` satisfies the push condition at `v` — the fused
@@ -248,22 +229,17 @@ class BatchSolver {
   void ScheduleLanes(NodeId v, const Score* rv, LaneMask candidates,
                      Score r_max, BatchFrontier& frontier);
 
-  // Processes lane b's round 0 (its private seed order), consuming the
-  // lane's seed bits even when the lane is detached.
-  void ProcessSeedRound(std::size_t b, bool unconditional, Score r_max,
-                        std::span<LaneRun> runs, BatchFrontier& frontier);
-
   // Drains the shared union rounds (>= 1) at threshold `r_max`.
   void SharedRounds(Score r_max, std::span<LaneRun> runs,
                     BatchFrontier& frontier);
 
   // Remedy + result assembly for one lane (bridges the lane's state into a
   // scratch PushState in the lane's serial touched order). A non-null
-  // `topk` routes a ResAcc top-k lane through FinishLaneTopK instead.
-  void FinishLane(std::size_t b, LaneRun& run, double remedy_budget_seconds,
-                  ControlledQueryResult& result, TopKResult* topk = nullptr);
+  // `topk` routes a top-k lane through FinishLaneTopK instead.
+  void FinishLane(std::size_t b, LaneRun& run, ControlledQueryResult& result,
+                  TopKResult* topk = nullptr);
 
-  // Top-k finish of a ResAcc lane: bridges reserves AND residues into the
+  // Top-k finish of a lane: bridges reserves AND residues into the
   // scratch state (same serial touched order) and hands it to the exact
   // function the serial QueryTopK calls — bit-identity by construction.
   void FinishLaneTopK(std::size_t b, LaneRun& run,
@@ -271,13 +247,8 @@ class BatchSolver {
 
   const Graph& graph_;
   RwrConfig config_;
-  Backend backend_;
   ResAccOptions resacc_options_;
-  ForaOptions fora_options_;
-  MonteCarloBatchOptions mc_options_;
-  Score r_max_f_ = 0.0;      // ResAcc OMFWD threshold (default applied)
-  Score fora_r_max_ = 0.0;   // FORA push threshold (default applied)
-  double walk_scale_ = 1.0;
+  Score r_max_f_ = 0.0;  // OMFWD threshold (default applied)
   std::string name_;
 
   BatchPushState state_;

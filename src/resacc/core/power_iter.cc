@@ -173,9 +173,8 @@ PowerIterStats RunDensePowerIter(const Graph& graph, const RwrConfig& config,
   }
 
   PowerIterStats stats;
-  // Same recurrence as algo/power.cc::Query, seeded from residues instead
-  // of a unit impulse: each sweep converts alpha of the alive mass into
-  // scores and spreads the rest, so after convergence
+  // Each sweep converts alpha of the alive mass into scores and spreads the
+  // rest (a synchronous whole-graph forward push), so after convergence
   // scores == reserves + sum_u r(u) pi_u up to the leftover mass.
   for (; stats.iterations < max_iterations && alive_sum > tolerance;
        ++stats.iterations) {

@@ -103,8 +103,8 @@ bool DenseBeatsRemedy(const Graph& graph, const RwrConfig& config,
 // Power-iterates the residues of `state` over the full CSR and adds the
 // result into `scores` (which must already hold the reserves; the push
 // invariant pi(v) = reserve(v) + sum_u r(u) pi_u(v) makes the sum exact up
-// to the leftover mass). The sweep is the same recurrence as
-// algo/power.cc; the alive vector is seeded from state's residues. On
+// to the leftover mass). The alive vector is seeded from state's residues;
+// algo/power.cc's ground truth runs this sweep from r(s) = 1. On
 // completion the leftover alive mass (< tolerance) is folded into the
 // scores so they still sum to 1 — an additive error <= tolerance. A
 // non-null `cancel` is polled once per sweep; an early stop folds the

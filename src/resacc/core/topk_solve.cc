@@ -208,7 +208,7 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
       };
       stage = RunForwardSearch(graph, config, source, next_r_max, seeds,
                                /*push_seeds_unconditionally=*/false, state,
-                               PushOrder::kFifo, cancel, &hook);
+                               cancel, &hook);
       result.refine_edges += stage.edge_traversals;
     }
     ++result.refine_stages;

@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <tuple>
 
@@ -14,6 +16,8 @@
 #include "resacc/algo/power.h"
 #include "resacc/algo/topppr.h"
 #include "resacc/algo/tpa.h"
+#include "resacc/core/power_iter.h"
+#include "resacc/core/push_state.h"
 #include "resacc/eval/metrics.h"
 #include "resacc/graph/generators.h"
 #include "tests/test_graphs.h"
@@ -65,6 +69,47 @@ TEST(PowerTest, IterationCountTracksTolerance) {
   tight.Query(0);
   EXPECT_LT(loose.last_iterations(), tight.last_iterations());
 }
+
+// Ground truth and the hybrid dense path run one sweep: PowerIteration
+// from s is RunDensePowerIter from the unit impulse r(s) = 1, bit for bit
+// and sweep for sweep.
+class PowerMatchesDenseSweepTest
+    : public ::testing::TestWithParam<DanglingPolicy> {};
+
+TEST_P(PowerMatchesDenseSweepTest, UnitImpulseIsBitIdentical) {
+  const DanglingPolicy policy = GetParam();
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    const Graph g = ChungLuPowerLaw(400, 2400, 2.2, seed);
+    const RwrConfig config = SmallConfig(g.num_nodes(), policy);
+    for (const double tolerance : {1e-3, 1e-9, 1e-12}) {
+      PowerIteration power(g, config, tolerance);
+      HybridOptions options;
+      options.tolerance = tolerance;
+      options.max_iterations = 10000;  // PowerIteration's default cap
+      for (const NodeId s : {NodeId{0}, NodeId{57}, NodeId{311}}) {
+        SCOPED_TRACE(::testing::Message() << "seed=" << seed << " tol="
+                                          << tolerance << " s=" << s);
+        PushState impulse(g.num_nodes());
+        impulse.SetResidue(s, 1.0);
+        std::vector<Score> dense(g.num_nodes(), 0.0);
+        const PowerIterStats stats =
+            RunDensePowerIter(g, config, s, impulse, dense, options);
+        const std::vector<Score> scores = power.Query(s);
+        EXPECT_EQ(power.last_iterations(), stats.iterations);
+        ASSERT_EQ(scores.size(), dense.size());
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(scores[v]),
+                    std::bit_cast<std::uint64_t>(dense[v]))
+              << "node " << v;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, PowerMatchesDenseSweepTest,
+                         ::testing::Values(DanglingPolicy::kAbsorb,
+                                           DanglingPolicy::kBackToSource));
 
 TEST(ForwardSearchSolverTest, TinyThresholdApproachesExact) {
   const Graph g = ErdosRenyi(150, 900, 4);

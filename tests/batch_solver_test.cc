@@ -1,5 +1,5 @@
 // Tests of the batched multi-source solver: per-lane bit-identity against
-// the serial solvers across batch sizes, epsilon accounting per lane, lane
+// the serial solver across batch sizes, epsilon accounting per lane, lane
 // detach on cancellation, and the serve-layer batch formation path.
 
 #include "resacc/core/batch_solver.h"
@@ -11,9 +11,9 @@
 #include <thread>
 #include <vector>
 
-#include "resacc/algo/fora.h"
-#include "resacc/algo/monte_carlo.h"
+#include "resacc/core/power_iter.h"
 #include "resacc/core/resacc_solver.h"
+#include "resacc/core/topk.h"
 #include "resacc/graph/generators.h"
 #include "resacc/graph/graph.h"
 #include "resacc/util/cancellation.h"
@@ -94,55 +94,91 @@ TEST_P(BatchBitIdentityTest, ResAccMatchesSerialAcrossBatchSizes) {
   }
 }
 
-TEST_P(BatchBitIdentityTest, ForaMatchesSerialAcrossBatchSizes) {
-  const Graph graph = ChungLuPowerLaw(1500, 9000, 2.3, /*seed=*/7);
+TEST_P(BatchBitIdentityTest, TopKLanesMatchSerialAcrossBatchSizes) {
+  const Graph graph = ChungLuPowerLaw(2000, 12000, 2.5, /*seed=*/42);
   const RwrConfig config = TestConfig(graph.num_nodes(), GetParam());
-  ForaOptions options;
+  ResAccOptions options;
   options.walk_scale = 0.2;
 
-  Fora serial(graph, config, options);
+  ResAccSolver serial(graph, config, options);
   BatchSolver batch(graph, config, options);
   const std::vector<NodeId> sources = PickSources(graph, 16);
 
+  std::vector<TopKResult> expected;
+  for (NodeId s : sources) expected.push_back(serial.QueryTopK(s, 10));
+  for (std::size_t batch_size : {std::size_t{1}, std::size_t{4},
+                                 std::size_t{16}}) {
+    for (std::size_t begin = 0; begin < sources.size(); begin += batch_size) {
+      std::vector<BatchLane> lanes;
+      for (std::size_t i = begin; i < begin + batch_size; ++i) {
+        BatchLane lane;
+        lane.source = sources[i];
+        lane.top_k = 10;
+        lanes.push_back(lane);
+      }
+      std::vector<TopKResult> topks;
+      batch.QueryBatch(lanes, &topks);
+      ASSERT_EQ(topks.size(), lanes.size());
+      for (std::size_t i = begin; i < begin + batch_size; ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << "batch_size=" << batch_size << " source="
+                     << sources[i]);
+        const TopKResult& want = expected[i];
+        const TopKResult& got = topks[i - begin];
+        EXPECT_TRUE(got.status.ok());
+        EXPECT_EQ(want.certified, got.certified);
+        EXPECT_EQ(want.outsider_upper, got.outsider_upper);
+        EXPECT_EQ(want.bound_gap, got.bound_gap);
+        EXPECT_EQ(want.achieved_epsilon, got.achieved_epsilon);
+        ASSERT_EQ(want.entries.size(), got.entries.size());
+        for (std::size_t r = 0; r < want.entries.size(); ++r) {
+          EXPECT_EQ(want.entries[r].node, got.entries[r].node) << "rank " << r;
+          EXPECT_EQ(want.entries[r].estimate, got.entries[r].estimate);
+          EXPECT_EQ(want.entries[r].lower, got.entries[r].lower);
+          EXPECT_EQ(want.entries[r].upper, got.entries[r].upper);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BatchBitIdentityTest, HybridMatchesSerialAcrossBatchSizes) {
+  // Hub sources take the dense path, tail sources stay local; under either
+  // dangling policy every lane replays its serial solve bit for bit.
+  const Graph graph = ChungLuPowerLaw(1000, 12000, 2.0, /*seed=*/3);
+  const RwrConfig config = TestConfig(graph.num_nodes(), GetParam());
+  ResAccOptions options;
+  options.walk_scale = 0.2;
+  options.hybrid.enable = true;
+  options.max_hop_set_fraction = 0.02;
+
+  const std::vector<NodeId> by_degree = graph.NodesByOutDegreeDesc();
+  std::vector<NodeId> sources(by_degree.begin(), by_degree.begin() + 4);
+  const std::vector<NodeId> tail = PickSources(graph, 12);
+  sources.insert(sources.end(), tail.begin(), tail.end());
+
+  ResAccSolver serial(graph, config, options);
   std::vector<ControlledQueryResult> expected;
+  std::size_t dense = 0;
   for (NodeId s : sources) {
     expected.push_back(serial.QueryControlled(s, QueryControl{}));
+    if (serial.last_stats().path != SolverPath::kLocal) ++dense;
   }
+  ASSERT_GT(dense, 0u) << "no source selected the dense path";
+  ASSERT_LT(dense, sources.size()) << "no source stayed local";
+
+  BatchSolver batch(graph, config, options);
   for (std::size_t batch_size : {std::size_t{1}, std::size_t{4},
                                  std::size_t{16}}) {
     const auto got = batch.QueryAllChunked(sources, batch_size);
+    ASSERT_EQ(got.size(), sources.size());
     for (std::size_t i = 0; i < sources.size(); ++i) {
       SCOPED_TRACE(::testing::Message()
                    << "batch_size=" << batch_size << " source="
                    << sources[i]);
       EXPECT_TRUE(got[i].status.ok());
-      ExpectBitIdentical(expected[i].scores, got[i].scores, "fora");
-    }
-  }
-}
-
-TEST_P(BatchBitIdentityTest, MonteCarloMatchesSerialAcrossBatchSizes) {
-  const Graph graph = ChungLuPowerLaw(800, 4000, 2.5, /*seed=*/11);
-  const RwrConfig config = TestConfig(graph.num_nodes(), GetParam());
-  MonteCarloBatchOptions options;
-  options.walk_scale = 0.1;
-
-  MonteCarlo serial(graph, config, options.walk_scale);
-  BatchSolver batch(graph, config, options);
-  const std::vector<NodeId> sources = PickSources(graph, 16);
-
-  std::vector<ControlledQueryResult> expected;
-  for (NodeId s : sources) {
-    expected.push_back(serial.QueryControlled(s, QueryControl{}));
-  }
-  for (std::size_t batch_size : {std::size_t{1}, std::size_t{4},
-                                 std::size_t{16}}) {
-    const auto got = batch.QueryAllChunked(sources, batch_size);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      SCOPED_TRACE(::testing::Message()
-                   << "batch_size=" << batch_size << " source="
-                   << sources[i]);
-      ExpectBitIdentical(expected[i].scores, got[i].scores, "mc");
+      EXPECT_EQ(got[i].achieved_epsilon, expected[i].achieved_epsilon);
+      ExpectBitIdentical(expected[i].scores, got[i].scores, "hybrid");
     }
   }
 }

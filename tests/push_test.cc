@@ -1,11 +1,13 @@
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "resacc/algo/inverse.h"
 #include "resacc/core/backward_push.h"
 #include "resacc/core/forward_push.h"
+#include "resacc/core/power_iter.h"
 #include "resacc/core/push_state.h"
 #include "resacc/graph/generators.h"
 #include "tests/test_graphs.h"
@@ -107,6 +109,22 @@ TEST(ForwardPushTest, DanglingBackToSourceReturnsMass) {
   EXPECT_NEAR(state.residue(0), 0.4, 1e-15);   // (1-alpha) * 0.5 to source
 }
 
+TEST(ForwardSearchTest, SeedsPushedUnconditionally) {
+  // A seed far below the threshold must still be pushed exactly once (the
+  // OMFWD seed round, Algorithm 4); its out-neighbour then stays below it.
+  const Graph g = testing::CycleGraph(6);
+  const RwrConfig config = TestConfig(DanglingPolicy::kAbsorb);
+  PushState state(g.num_nodes());
+  state.SetResidue(2, 1e-9);
+  const NodeId seeds[] = {NodeId{2}};
+  const PushStats stats =
+      RunForwardSearch(g, config, 0, /*r_max=*/1.0, seeds,
+                       /*push_seeds_unconditionally=*/true, state);
+  EXPECT_EQ(stats.push_operations, 1u);
+  EXPECT_EQ(state.residue(2), 0.0);
+  EXPECT_EQ(state.residue(3), (1.0 - config.alpha) * 1e-9);  // 8e-10
+}
+
 class ForwardSearchPropertyTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, DanglingPolicy>> {};
 
@@ -171,6 +189,74 @@ TEST_P(ForwardSearchPropertyTest, InvariantAgainstExactScores) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ForwardSearchPropertyTest,
     ::testing::Combine(::testing::Values(1u, 7u, 123u),
+                       ::testing::Values(DanglingPolicy::kAbsorb,
+                                         DanglingPolicy::kBackToSource)));
+
+// The FIFO search on skewed-degree graphs, where hubs collect residue
+// from many in-neighbours within one wavefront.
+class ForwardSearchSweepTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, DanglingPolicy>> {};
+
+// The cost bound behind r_max (FORA, Lemma 1): every push meets the push
+// condition, so it moves alpha * r(v) >= alpha * r_max * max(d_out(v), 1)
+// into v's reserve. Summed over all pushes, the edge work and the push
+// count are both paid for by the reserve mass, which never exceeds 1.
+TEST_P(ForwardSearchSweepTest, ReserveGainPaysForEdgeWork) {
+  const auto [seed, policy] = GetParam();
+  const Graph g = ChungLuPowerLaw(300, 1800, 2.2, seed);
+  const RwrConfig config = TestConfig(policy);
+  const Score r_max = 1e-6;
+
+  PushState state(g.num_nodes());
+  state.SetResidue(0, 1.0);
+  const NodeId seeds[] = {NodeId{0}};
+  const PushStats stats =
+      RunForwardSearch(g, config, 0, r_max, seeds,
+                       /*push_seeds_unconditionally=*/false, state);
+
+  const Score reserve = state.ReserveSum();
+  EXPECT_GT(stats.push_operations, 0u);
+  EXPECT_LE(reserve, 1.0 + 1e-12);
+  EXPECT_LE(config.alpha * r_max * static_cast<Score>(stats.edge_traversals),
+            reserve * (1.0 + 1e-12));
+  EXPECT_LE(config.alpha * r_max * static_cast<Score>(stats.push_operations),
+            reserve * (1.0 + 1e-12));
+}
+
+// Equation (2) under both dangling policies: the reserves plus the exact
+// scores of the leftover residues, propagated in the chain anchored at the
+// query source, reproduce pi(s, .). The dense sweep does that propagation
+// (it is the hybrid path's finish); ExactInverse is the independent oracle.
+TEST_P(ForwardSearchSweepTest, DenseContinuationRecoversExactScores) {
+  const auto [seed, policy] = GetParam();
+  const Graph g = ChungLuPowerLaw(300, 1800, 2.2, seed);
+  const RwrConfig config = TestConfig(policy);
+
+  PushState state(g.num_nodes());
+  state.SetResidue(0, 1.0);
+  const NodeId seeds[] = {NodeId{0}};
+  RunForwardSearch(g, config, 0, /*r_max=*/1e-4, seeds,
+                   /*push_seeds_unconditionally=*/false, state);
+  ASSERT_GT(state.ResidueSum(), 1e-3);  // the sweep has real mass to move
+
+  std::vector<Score> scores(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) scores[v] = state.reserve(v);
+  HybridOptions options;
+  options.tolerance = 1e-13;
+  const PowerIterStats stats =
+      RunDensePowerIter(g, config, 0, state, scores, options);
+  EXPECT_FALSE(stats.cancelled);
+  EXPECT_LT(stats.leftover_mass, options.tolerance);
+
+  const std::vector<Score> exact = ExactInverse(g, config).Query(0);
+  for (NodeId t = 0; t < g.num_nodes(); ++t) {
+    EXPECT_NEAR(scores[t], exact[t], 1e-10) << "node " << t;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ForwardSearchSweepTest,
+    ::testing::Combine(::testing::Values(2u, 19u, 77u),
                        ::testing::Values(DanglingPolicy::kAbsorb,
                                          DanglingPolicy::kBackToSource)));
 
