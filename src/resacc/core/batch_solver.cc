@@ -20,12 +20,6 @@ namespace resacc {
 
 namespace {
 
-// Half-width of the divide-free push-condition screen, relative to
-// r_max*degree (see the scheduling sweep in ApplyPush). IEEE-754 double
-// rounding perturbs the compared quantities by at most ~3 ulp (~7e-16
-// relative); 1e-14 brackets that with an order of magnitude to spare.
-constexpr Score kCondMargin = 1e-14;
-
 // Bitmask of the lanes whose row value is >= threshold. The bit-shift
 // accumulation in the portable loop defeats autovectorization, so the
 // AVX-512 path compares a whole 8-lane chunk into a predicate mask
@@ -163,38 +157,37 @@ void BatchSolver::PollLanes(std::span<LaneRun> runs) {
   }
 }
 
+BatchFrontier::LaneMask BatchSolver::LanesMeetingCondition(
+    const Score* row, LaneMask candidates, NodeId degree, Score r_max) const {
+  if (degree == 0) {
+    LaneMask meets = 0;
+    for (LaneMask m = candidates; m != 0; m &= m - 1) {
+      const std::size_t b = BatchPushState::LaneOf(m);
+      if (row[b] >= r_max) meets |= LaneMask{1} << b;
+    }
+    return meets;
+  }
+  // The vector form of MeetsPushCondition's divide-free screen
+  // (forward_push.h): lanes clear of the kCondMargin band decide with one
+  // multiply and a full-width predicate compare; only in-band lanes take
+  // the scalar check, which divides.
+  const Score t = r_max * static_cast<Score>(degree);
+  const LaneMask pass = GeMask(row, num_lanes_, t * (1.0 + kCondMargin));
+  const LaneMask band =
+      candidates & GeMask(row, num_lanes_, t * (1.0 - kCondMargin)) & ~pass;
+  LaneMask meets = candidates & pass;
+  for (LaneMask m = band; m != 0; m &= m - 1) {
+    const std::size_t b = BatchPushState::LaneOf(m);
+    if (MeetsPushCondition(row[b], degree, r_max)) meets |= LaneMask{1} << b;
+  }
+  return meets;
+}
+
 void BatchSolver::ScheduleLanes(NodeId v, const Score* rv,
                                 LaneMask candidates, Score r_max,
                                 BatchFrontier& frontier) {
-  const NodeId dv = graph_.OutDegree(v);
-  LaneMask sched = 0;
-  if (dv == 0) {
-    for (LaneMask m = candidates; m != 0; m &= m - 1) {
-      const std::size_t b = BatchPushState::LaneOf(m);
-      if (rv[b] >= r_max) sched |= LaneMask{1} << b;
-    }
-  } else {
-    // Divide-free screen of the push condition: r/deg >= r_max is
-    // bracketed by r >= r_max*deg*(1 -+ margin), with the margin wide
-    // enough to cover both multiplications' and the division's rounding
-    // (~3 ulp; the band is ~1e-14 relative). Residues clear of the band
-    // decide with one multiply and a full-width predicate compare; only
-    // in-band residues (astronomically rare for push residues) fall back
-    // to the exact serial division, so every decision is bit-identical to
-    // the serial check.
-    const Score t = r_max * static_cast<Score>(dv);
-    const Score hi = t * (1.0 + kCondMargin);
-    const Score lo = t * (1.0 - kCondMargin);
-    const LaneMask pass = GeMask(rv, num_lanes_, hi);
-    sched = candidates & pass;
-    for (LaneMask m = candidates & GeMask(rv, num_lanes_, lo) & ~pass;
-         m != 0; m &= m - 1) {
-      const std::size_t b = BatchPushState::LaneOf(m);
-      if (rv[b] / static_cast<Score>(dv) >= r_max) {
-        sched |= LaneMask{1} << b;
-      }
-    }
-  }
+  const LaneMask sched =
+      LanesMeetingCondition(rv, candidates, graph_.OutDegree(v), r_max);
   if (sched != 0) frontier.Schedule(v, sched);
 }
 
@@ -357,7 +350,8 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
       const std::size_t b = BatchPushState::LaneOf(m);
       const NodeId src = runs[b].source;
       if ((frontier.scheduled(src) & (LaneMask{1} << b)) != 0) continue;
-      if (LaneCond(src, b, r_max)) {
+      if (MeetsPushCondition(state_.ResidueRow(src)[b],
+                             graph_.OutDegree(src), r_max)) {
         frontier.Schedule(src, LaneMask{1} << b);
       }
     }
@@ -435,29 +429,8 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
     }
     // Per-lane re-check of the push condition, exactly as the serial
     // search re-checks at pop.
-    const NodeId degree = graph_.OutDegree(u);
-    const Score* ru = state_.ResidueRow(u);
-    LaneMask gate = 0;
-    if (degree == 0) {
-      for (LaneMask m = mask; m != 0; m &= m - 1) {
-        const std::size_t b = BatchPushState::LaneOf(m);
-        if (ru[b] >= r_max) gate |= LaneMask{1} << b;
-      }
-    } else {
-      // Same divide-free screen as the scheduling sweep (see ApplyPush).
-      const Score t = r_max * static_cast<Score>(degree);
-      const Score hi = t * (1.0 + kCondMargin);
-      const Score lo = t * (1.0 - kCondMargin);
-      const LaneMask pass = GeMask(ru, num_lanes_, hi);
-      gate = mask & pass;
-      for (LaneMask m = mask & GeMask(ru, num_lanes_, lo) & ~pass; m != 0;
-           m &= m - 1) {
-        const std::size_t b = BatchPushState::LaneOf(m);
-        if (ru[b] / static_cast<Score>(degree) >= r_max) {
-          gate |= LaneMask{1} << b;
-        }
-      }
-    }
+    const LaneMask gate = LanesMeetingCondition(
+        state_.ResidueRow(u), mask, graph_.OutDegree(u), r_max);
     if (gate == 0) continue;
     ApplyPush(u, gate, r_max, runs, frontier);
   }
@@ -618,7 +591,7 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
   // to amortize — worse, running them against the SoA panels scatters
   // unamortized single-lane writes across tens of megabytes. Each lane
   // instead runs the *serial* phases (the very same RunHHopFwd /
-  // ForwardPushAt the serial solver calls, so bit-identity holds by
+  // PushAndSchedule the serial solver calls, so bit-identity holds by
   // construction) on the flat L2-resident scratch state at serial speed;
   // the combined hop + seed-round state is transplanted into the SoA lane
   // once, in the lane's serial touched order, and the lane's staged
@@ -677,9 +650,8 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
                   return x < y;
                 });
       // Round 0: unconditional seed pushes, replayed with the serial
-      // search's exact loop (pop, push, schedule sweep — see
-      // ForwardSearchLevelSync) on the serial Frontier, which stages this
-      // lane's round-1 set.
+      // search's exact step (PushAndSchedule, forward_push.h) on the
+      // serial Frontier, which stages this lane's round-1 set.
       PushStats seed_stats;
       for (NodeId s : run.seeds) seed_frontier_.Seed(s);
       std::uint64_t pops = 0;
@@ -690,16 +662,8 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
           PollLanes(runs);
           if (run.detached) break;
         }
-        ForwardPushAt(graph_, config_, run.source, s, scratch_, seed_stats);
-        for (NodeId v : graph_.OutNeighbors(s)) {
-          if (SatisfiesPushCondition(graph_, scratch_, v, r_max_f_)) {
-            seed_frontier_.Schedule(v);
-          }
-        }
-        if (config_.dangling == DanglingPolicy::kBackToSource &&
-            SatisfiesPushCondition(graph_, scratch_, run.source, r_max_f_)) {
-          seed_frontier_.Schedule(run.source);
-        }
+        PushAndSchedule(graph_, config_, run.source, s, r_max_f_, scratch_,
+                        seed_frontier_, seed_stats);
       }
       last_stats_.push_operations += seed_stats.push_operations;
       last_stats_.edge_traversals += seed_stats.edge_traversals;

@@ -207,21 +207,17 @@ class BatchSolver {
   // Polls every live lane's token and detaches the fired ones.
   void PollLanes(std::span<LaneRun> runs);
 
-  // Lane b's push condition (Definition 6) — kept as residue/degree >= r_max
-  // exactly, never rearranged (FP equivalence with the serial check).
-  bool LaneCond(NodeId v, std::size_t b, Score r_max) const {
-    const NodeId degree = graph_.OutDegree(v);
-    const Score residue = state_.ResidueRow(v)[b];
-    const Score scaled =
-        degree > 0 ? residue / static_cast<Score>(degree) : residue;
-    return scaled >= r_max;
-  }
-
   // One batched push at `u` for the lanes of `gate` (the lanes that popped
   // the node and passed their gating), plus the post-push scheduling sweep
   // into `frontier`.
   void ApplyPush(NodeId u, LaneMask gate, Score r_max,
                  std::span<LaneRun> runs, BatchFrontier& frontier);
+
+  // The lanes of `candidates` whose value in `row` (a node of out-degree
+  // `degree`) meets the push condition at `r_max`: lane by lane the same
+  // decision as MeetsPushCondition.
+  LaneMask LanesMeetingCondition(const Score* row, LaneMask candidates,
+                                 NodeId degree, Score r_max) const;
 
   // Schedules into `frontier` the lanes of `candidates` whose post-deposit
   // residue row `rv` satisfies the push condition at `v` — the fused

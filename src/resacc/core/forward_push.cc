@@ -1,39 +1,6 @@
 #include "resacc/core/forward_push.h"
 
-#include "resacc/core/frontier.h"
-
 namespace resacc {
-
-void ForwardPushAt(const Graph& graph, const RwrConfig& config, NodeId source,
-                   NodeId node, PushState& state, PushStats& stats) {
-  const Score residue = state.residue(node);
-  if (residue <= 0.0) return;
-  ++stats.push_operations;
-
-  const auto neighbors = graph.OutNeighbors(node);
-  if (neighbors.empty()) {
-    // Dangling node: see DanglingPolicy. The residue is consumed *before*
-    // the back-flow is credited — the source may be this very node (an
-    // isolated source), in which case the flow must survive the reset.
-    state.SetResidue(node, 0.0);
-    if (config.dangling == DanglingPolicy::kAbsorb) {
-      state.AddReserve(node, residue);
-    } else {
-      state.AddReserve(node, config.alpha * residue);
-      state.AddResidue(source, (1.0 - config.alpha) * residue);
-    }
-    return;
-  }
-
-  state.AddReserve(node, config.alpha * residue);
-  const Score share = (1.0 - config.alpha) * residue /
-                      static_cast<Score>(neighbors.size());
-  for (NodeId v : neighbors) {
-    state.AddResidue(v, share);
-  }
-  stats.edge_traversals += neighbors.size();
-  state.SetResidue(node, 0.0);
-}
 
 namespace {
 
@@ -74,19 +41,8 @@ PushStats RunForwardSearch(const Graph& graph, const RwrConfig& config,
     if (!unconditional && !SatisfiesPushCondition(graph, state, node, r_max)) {
       continue;
     }
-    ForwardPushAt(graph, config, source, node, state, stats);
-
-    // Schedule out-neighbours (and possibly the source, under
-    // kBackToSource) that now satisfy the push condition.
-    for (NodeId v : graph.OutNeighbors(node)) {
-      if (SatisfiesPushCondition(graph, state, v, r_max)) {
-        frontier.Schedule(v);
-      }
-    }
-    if (config.dangling == DanglingPolicy::kBackToSource &&
-        SatisfiesPushCondition(graph, state, source, r_max)) {
-      frontier.Schedule(source);
-    }
+    PushAndSchedule(graph, config, source, node, r_max, state, frontier,
+                    stats);
   }
   return stats;
 }

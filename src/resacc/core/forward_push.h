@@ -5,10 +5,12 @@
 #include <functional>
 #include <span>
 
+#include "resacc/core/frontier.h"
 #include "resacc/core/push_state.h"
 #include "resacc/core/rwr_config.h"
 #include "resacc/graph/graph.h"
 #include "resacc/util/cancellation.h"
+#include "resacc/util/check.h"
 
 namespace resacc {
 
@@ -25,22 +27,114 @@ struct PushStats {
   }
 };
 
-// The push condition (Definition 6): r(t) / d_out(t) >= r_max, with
-// dangling nodes treated as degree 1.
+// Half-width of the divide-free push-condition screen, relative to
+// r_max * degree. IEEE-754 double rounding perturbs the compared
+// quantities by at most ~3 ulp (~7e-16 relative); 1e-14 brackets that
+// with an order of magnitude to spare. The batch kernel's vector screen
+// (batch_solver.cc) uses the same margin.
+inline constexpr Score kCondMargin = 1e-14;
+
+// The push condition (Definition 6) for `residue` at a node of out-degree
+// `degree`: residue / degree >= r_max, with dangling nodes treated as
+// degree 1. Divide-free screen: residues at or above
+// r_max*degree*(1 + kCondMargin) pass and residues below
+// r_max*degree*(1 - kCondMargin) fail, which is exactly what the division
+// decides outside that band; only in-band residues (astronomically rare
+// for push residues) divide. Every decision equals residue / degree >=
+// r_max bit for bit.
+inline bool MeetsPushCondition(Score residue, NodeId degree, Score r_max) {
+  if (degree == 0) return residue >= r_max;
+  const Score t = r_max * static_cast<Score>(degree);
+  if (residue >= t * (1.0 + kCondMargin)) return true;
+  if (residue < t * (1.0 - kCondMargin)) return false;
+  return residue / static_cast<Score>(degree) >= r_max;
+}
+
 inline bool SatisfiesPushCondition(const Graph& graph, const PushState& state,
                                    NodeId t, Score r_max) {
-  const NodeId degree = graph.OutDegree(t);
-  const Score scaled =
-      degree > 0 ? state.residue(t) / static_cast<Score>(degree)
-                 : state.residue(t);
-  return scaled >= r_max;
+  return MeetsPushCondition(state.residue(t), graph.OutDegree(t), r_max);
 }
 
 // One forward push operation at `node` (Definition 7): moves alpha of its
 // residue to its reserve and spreads the rest over out-neighbours (or per
-// the dangling policy). No-op when the residue is zero.
+// the dangling policy). No-op when the residue is zero. `on_deposit(v)` is
+// called right after each out-neighbour deposit, before the next one.
+struct NoDeposit {
+  void operator()(NodeId) const {}
+};
+
+template <typename OnDeposit = NoDeposit>
 void ForwardPushAt(const Graph& graph, const RwrConfig& config, NodeId source,
-                   NodeId node, PushState& state, PushStats& stats);
+                   NodeId node, PushState& state, PushStats& stats,
+                   const OnDeposit& on_deposit = {}) {
+  const Score residue = state.residue(node);
+  if (residue <= 0.0) return;
+  ++stats.push_operations;
+
+  const auto neighbors = graph.OutNeighbors(node);
+  if (neighbors.empty()) {
+    // Dangling node: see DanglingPolicy. The residue is consumed *before*
+    // the back-flow is credited — the source may be this very node (an
+    // isolated source), in which case the flow must survive the reset.
+    state.SetResidue(node, 0.0);
+    if (config.dangling == DanglingPolicy::kAbsorb) {
+      state.AddReserve(node, residue);
+    } else {
+      state.AddReserve(node, config.alpha * residue);
+      state.AddResidue(source, (1.0 - config.alpha) * residue);
+    }
+    return;
+  }
+
+  state.AddReserve(node, config.alpha * residue);
+  const Score share = (1.0 - config.alpha) * residue /
+                      static_cast<Score>(neighbors.size());
+  for (NodeId v : neighbors) {
+    state.AddResidue(v, share);
+    on_deposit(v);
+  }
+  stats.edge_traversals += neighbors.size();
+  state.SetResidue(node, 0.0);
+}
+
+// One step of the forward search: the push at popped node `u` fused with
+// the scheduling sweep that follows it. Every out-neighbour v, and the
+// source under kBackToSource, that is not yet scheduled, passes
+// `can_schedule` and then meets the push condition at `r_max` is
+// scheduled on `frontier`. The sweep needs no second pass over the row: it
+// screens each v right after its deposit, and v's residue changes only at
+// its own deposits, so it already holds the value a sweep after the push
+// would read. u itself is skipped, since its residue is zeroed after the
+// row; a no-op push (zero residue) still sweeps its unchanged row.
+// Reserves, residues, touched() order and `stats` are exactly those of
+// ForwardPushAt followed by the sweep. Only a row that repeats a target
+// can stage next-round nodes in a different order, and promotion orders
+// every round by id anyway.
+struct AnyNode {
+  bool operator()(NodeId) const { return true; }
+};
+
+template <typename CanSchedule = AnyNode>
+void PushAndSchedule(const Graph& graph, const RwrConfig& config,
+                     NodeId source, NodeId u, Score r_max, PushState& state,
+                     Frontier& frontier, PushStats& stats,
+                     const CanSchedule& can_schedule = {}) {
+  RESACC_DCHECK(r_max > 0.0);
+  const auto try_schedule = [&](NodeId v) {
+    if (!frontier.scheduled(v) && can_schedule(v) &&
+        MeetsPushCondition(state.residue(v), graph.OutDegree(v), r_max)) {
+      frontier.Schedule(v);
+    }
+  };
+  if (state.residue(u) <= 0.0) {
+    for (NodeId v : graph.OutNeighbors(u)) try_schedule(v);
+  } else {
+    ForwardPushAt(graph, config, source, u, state, stats, [&](NodeId v) {
+      if (v != u) try_schedule(v);
+    });
+  }
+  if (config.dangling == DanglingPolicy::kBackToSource) try_schedule(source);
+}
 
 // Invoked by the level-synchronous search each time the Frontier promotes
 // to a new round (before any node of that round is pushed). Returning true

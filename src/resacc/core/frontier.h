@@ -1,7 +1,7 @@
 #ifndef RESACC_CORE_FRONTIER_H_
 #define RESACC_CORE_FRONTIER_H_
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -10,6 +10,39 @@
 #include "resacc/util/types.h"
 
 namespace resacc {
+
+// Membership bitmap of a staged (next) round, kept beside its node list so
+// that promotion can emit the round in ascending id order without sorting.
+class RoundBitmap {
+ public:
+  explicit RoundBitmap(NodeId num_nodes)
+      : words_((static_cast<std::size_t>(num_nodes) + 63) / 64, 0) {}
+
+  void Set(NodeId v) { words_[v >> 6] |= std::uint64_t{1} << (v & 63); }
+  void Reset(NodeId v) { words_[v >> 6] &= ~(std::uint64_t{1} << (v & 63)); }
+
+  // Moves the staged round `next` (whose members, and only those, are set
+  // here) into `current` in ascending id order by reading the bitmap word
+  // by word, then empties `next`. The scan resets every word it reads, so
+  // the bitmap is all-zero again afterwards. It costs one load per 64
+  // nodes per round, less than the O(n) fill that builds the Frontier.
+  void Promote(std::vector<NodeId>& next, std::vector<NodeId>& current) {
+    current.clear();
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      std::uint64_t word = words_[w];
+      if (word == 0) continue;
+      words_[w] = 0;
+      for (; word != 0; word &= word - 1) {
+        current.push_back(static_cast<NodeId>(w * 64 + std::countr_zero(word)));
+      }
+    }
+    RESACC_DCHECK(current.size() == next.size());
+    next.clear();
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
 
 // Deterministic round-based work list shared by every push-based search
 // (h-HopFWD's accumulating phase, OMFWD, FORA's forward push).
@@ -36,9 +69,13 @@ namespace resacc {
 // a node's residue until the node itself pushes, so a scheduled node still
 // satisfies the condition when it is popped (callers re-check anyway for
 // seeds, which may be scheduled unconditionally).
+//
+// Next-round members are also kept in a RoundBitmap, so promotion emits
+// each round in ascending order by scanning the bitmap, without sorting.
 class Frontier {
  public:
-  explicit Frontier(NodeId num_nodes) : scheduled_(num_nodes, 0) {}
+  explicit Frontier(NodeId num_nodes)
+      : scheduled_(num_nodes, 0), next_bits_(num_nodes) {}
 
   // Appends `v` to round 0, preserving call order; duplicates are ignored.
   // Only valid before the first Next() call.
@@ -49,6 +86,9 @@ class Frontier {
     current_.push_back(v);
   }
 
+  // True while `v` is pending in the current round or staged for the next.
+  bool scheduled(NodeId v) const { return scheduled_[v] != 0; }
+
   // Schedules `v` for the next round unless it is already scheduled
   // (pending in the current round, or in the next one). Returns true when
   // the node was newly scheduled.
@@ -56,6 +96,7 @@ class Frontier {
     if (scheduled_[v]) return false;
     scheduled_[v] = 1;
     next_.push_back(v);
+    next_bits_.Set(v);
     return true;
   }
 
@@ -64,9 +105,7 @@ class Frontier {
   bool Next(NodeId* v) {
     if (pos_ == current_.size()) {
       if (next_.empty()) return false;
-      current_.swap(next_);
-      next_.clear();
-      std::sort(current_.begin(), current_.end());
+      next_bits_.Promote(next_, current_);
       pos_ = 0;
       ++round_;
     }
@@ -83,9 +122,9 @@ class Frontier {
   std::size_t pending_count() const { return current_.size() - pos_; }
 
   // Nodes staged for the next round, in schedule order (deduplicated, not
-  // yet sorted — Next() sorts on promotion). The batch solver drains each
-  // lane's round 0 through a serial Frontier and hands the staged round-1
-  // set over to the shared BatchFrontier.
+  // yet ordered — Next() orders them on promotion). The batch solver
+  // drains each lane's round 0 through a serial Frontier and hands the
+  // staged round-1 set over to the shared BatchFrontier.
   std::span<const NodeId> staged() const { return next_; }
 
   // Clears leftover scheduled flags after an early stop (cancellation), so
@@ -94,7 +133,10 @@ class Frontier {
     for (std::size_t i = pos_; i < current_.size(); ++i) {
       scheduled_[current_[i]] = 0;
     }
-    for (NodeId v : next_) scheduled_[v] = 0;
+    for (NodeId v : next_) {
+      scheduled_[v] = 0;
+      next_bits_.Reset(v);
+    }
     current_.clear();
     next_.clear();
     pos_ = 0;
@@ -103,6 +145,7 @@ class Frontier {
 
  private:
   std::vector<std::uint8_t> scheduled_;
+  RoundBitmap next_bits_;  // members of next_
   std::vector<NodeId> current_;
   std::vector<NodeId> next_;
   std::size_t pos_ = 0;
@@ -122,14 +165,15 @@ class Frontier {
 // Seeds are NOT routed through this class: seed order is per-lane (OMFWD
 // sorts each lane's frontier by that lane's residues), so the batch solver
 // runs each lane's round 0 serially on flat scratch state and Schedule()s
-// the resulting round-1 set here (Next() promotes and sorts it).
+// the resulting round-1 set here (Next() promotes it in ascending order).
 class BatchFrontier {
  public:
   using LaneMask = std::uint32_t;
   static constexpr std::size_t kMaxLanes = 32;
 
   explicit BatchFrontier(NodeId num_nodes)
-      : masks_(num_nodes, Masks{0, 0}) {}
+      : masks_(num_nodes, Masks{0, 0}),
+        next_bits_(num_nodes) {}
 
   // Schedules `v` for the next round on the lanes of `lanes` that do not
   // already have it scheduled.
@@ -137,7 +181,10 @@ class BatchFrontier {
     Masks& m = masks_[v];
     const LaneMask fresh = lanes & ~m.current & ~m.next;
     if (fresh == 0) return;
-    if (m.next == 0) next_.push_back(v);
+    if (m.next == 0) {
+      next_.push_back(v);
+      next_bits_.Set(v);
+    }
     m.next |= fresh;
   }
 
@@ -153,9 +200,7 @@ class BatchFrontier {
     while (true) {
       if (pos_ == current_.size()) {
         if (next_.empty()) return false;
-        current_.swap(next_);
-        next_.clear();
-        std::sort(current_.begin(), current_.end());
+        next_bits_.Promote(next_, current_);
         // Promote the masks with the list. Every node of the finished
         // round was popped (its current mask consumed), so overwriting is
         // safe even for nodes that sat in both rounds.
@@ -186,7 +231,10 @@ class BatchFrontier {
     for (std::size_t i = pos_; i < current_.size(); ++i) {
       masks_[current_[i]].current = 0;
     }
-    for (NodeId v : next_) masks_[v].next = 0;
+    for (NodeId v : next_) {
+      masks_[v].next = 0;
+      next_bits_.Reset(v);
+    }
     current_.clear();
     next_.clear();
     pos_ = 0;
@@ -204,6 +252,7 @@ class BatchFrontier {
   };
 
   std::vector<Masks> masks_;
+  RoundBitmap next_bits_;  // members of next_
   std::vector<NodeId> current_;
   std::vector<NodeId> next_;
   std::size_t pos_ = 0;

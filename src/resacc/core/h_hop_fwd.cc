@@ -103,12 +103,6 @@ HHopFwdStats RunHHopFwd(const Graph& graph, const RwrConfig& config,
   // CSR order; eligibility is enforced at scheduling time, so a scheduled
   // node is always inside the hop set (and never the excluded source).
   Frontier frontier(graph.num_nodes());
-  auto try_schedule = [&](NodeId v) {
-    if (eligible.CanPush(v) &&
-        SatisfiesPushCondition(graph, state, v, options.r_max_hop)) {
-      frontier.Schedule(v);
-    }
-  };
   for (NodeId v : graph.OutNeighbors(source)) {
     if (eligible.CanPush(v) &&
         SatisfiesPushCondition(graph, state, v, options.r_max_hop)) {
@@ -132,9 +126,9 @@ HHopFwdStats RunHHopFwd(const Graph& graph, const RwrConfig& config,
     if (!SatisfiesPushCondition(graph, state, node, options.r_max_hop)) {
       continue;
     }
-    ForwardPushAt(graph, config, source, node, state, stats.push);
-    for (NodeId v : graph.OutNeighbors(node)) try_schedule(v);
-    if (config.dangling == DanglingPolicy::kBackToSource) try_schedule(source);
+    PushAndSchedule(graph, config, source, node, options.r_max_hop, state,
+                    frontier, stats.push,
+                    [&eligible](NodeId v) { return eligible.CanPush(v); });
   }
 
   // Cancelled mid-phase: the updating phase extrapolates T completed

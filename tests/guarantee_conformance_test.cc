@@ -14,9 +14,11 @@
 // In practice the concentration bounds behind Theorem 3 are conservative
 // and the observed fraction is ~0.
 //
-// This suite is excluded from tier-1: it runs ~1200 full queries. It is
-// labelled `conformance` in CTest and skips itself unless
-// RESACC_CONFORMANCE=1 (the nightly conformance workflow sets both).
+// The full suite is excluded from tier-1: it runs ~1200 full queries. It
+// is labelled `conformance` in CTest and skips itself unless
+// RESACC_CONFORMANCE=1 (the nightly conformance workflow sets both). A
+// small slice (GuaranteeConformanceSliceTest, kSliceTrials trials per
+// graph) always runs, so every change is checked against Definition 1.
 
 #include <algorithm>
 #include <cmath>
@@ -47,6 +49,7 @@ namespace resacc {
 namespace {
 
 constexpr int kTrials = 200;
+constexpr int kSliceTrials = 24;
 constexpr int kSourcesPerGraph = 10;
 
 RwrConfig ConformanceConfig(std::uint64_t seed) {
@@ -130,9 +133,12 @@ std::vector<ConformanceGraph> MakeHubGraphs() {
 using SolverFactory = std::function<std::unique_ptr<SsrwrAlgorithm>(
     const Graph&, const RwrConfig&)>;
 
+// Runs `trials` queries per graph. With `nightly_only` the run skips
+// itself unless RESACC_CONFORMANCE is set.
 void RunConformance(const SolverFactory& factory,
-                    const std::vector<ConformanceGraph>& graphs) {
-  if (GetEnvString("RESACC_CONFORMANCE", "").empty()) {
+                    const std::vector<ConformanceGraph>& graphs,
+                    int trials = kTrials, bool nightly_only = true) {
+  if (nightly_only && GetEnvString("RESACC_CONFORMANCE", "").empty()) {
     GTEST_SKIP() << "set RESACC_CONFORMANCE=1 to run the statistical "
                     "conformance suite (nightly CI job)";
   }
@@ -146,7 +152,7 @@ void RunConformance(const SolverFactory& factory,
     std::uint64_t violations = 0;
     double worst_relative_error = 0.0;
 
-    for (int trial = 0; trial < kTrials; ++trial) {
+    for (int trial = 0; trial < trials; ++trial) {
       const NodeId source =
           static_cast<NodeId>((trial * 7) % kSourcesPerGraph);
       RwrConfig config = ConformanceConfig(
@@ -233,6 +239,24 @@ TEST(GuaranteeConformanceTest, HybridResAccSatisfiesDefinition1OnHubGraphs) {
 
 TEST(GuaranteeConformanceTest, MonteCarloSatisfiesDefinition1) {
   RunConformance(MakeMonteCarlo(), MakeGraphs());
+}
+
+// The always-on slice: plain ResAcc on the Chung-Lu conformance graph
+// and hybrid ResAcc on the star, whose source 0 is the hub and goes dense,
+// held to the same p_f + 3 sigma budget as the nightly runs.
+TEST(GuaranteeConformanceSliceTest, ResAccOnChungLu) {
+  std::vector<ConformanceGraph> graphs = MakeGraphs();
+  graphs.resize(1);
+  ASSERT_EQ(graphs[0].name, "chung-lu");
+  RunConformance(MakeResAcc(), graphs, kSliceTrials, /*nightly_only=*/false);
+}
+
+TEST(GuaranteeConformanceSliceTest, HybridResAccOnStarHub) {
+  std::vector<ConformanceGraph> graphs = MakeHubGraphs();
+  graphs.resize(1);
+  ASSERT_EQ(graphs[0].name, "star");
+  RunConformance(MakeHybridResAcc(), graphs, kSliceTrials,
+                 /*nightly_only=*/false);
 }
 
 // Top-k precision under Definition 1 (PR 8): with every relative error
