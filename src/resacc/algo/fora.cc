@@ -45,8 +45,7 @@ ControlledQueryResult Fora::QueryControlled(NodeId source,
     result.uncorrected_mass = uncorrected_mass;
     if (uncorrected_mass > 0.0) {
       result.degraded = true;
-      result.achieved_epsilon =
-          config_.epsilon + uncorrected_mass / config_.delta;
+      result.achieved_epsilon = config_.AchievedEpsilon(uncorrected_mass);
     }
   };
 

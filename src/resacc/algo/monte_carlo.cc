@@ -51,8 +51,7 @@ ControlledQueryResult MonteCarlo::QueryControlled(NodeId source,
   result.uncorrected_mass = engine_stats.skipped_mass;
   if (result.uncorrected_mass > 0.0) {
     result.degraded = true;
-    result.achieved_epsilon =
-        config_.epsilon + result.uncorrected_mass / config_.delta;
+    result.achieved_epsilon = config_.AchievedEpsilon(result.uncorrected_mass);
   }
   return result;
 }

@@ -5,10 +5,8 @@
 #include <utility>
 
 #include "resacc/core/forward_push.h"
-#include "resacc/core/h_hop_fwd.h"
+#include "resacc/core/omfwd.h"
 #include "resacc/core/power_iter.h"
-#include "resacc/core/remedy.h"
-#include "resacc/core/topk_solve.h"
 #include "resacc/util/check.h"
 #include "resacc/util/timer.h"
 
@@ -77,53 +75,38 @@ void BatchPushState::Reset() {
 
 BatchSolver::BatchSolver(const Graph& graph, const RwrConfig& config,
                          const ResAccOptions& options)
-    : graph_(graph),
-      config_(config),
-      resacc_options_(options),
-      name_("BatchResAcc"),
+    : pipeline_(graph, config, options),
       frontier_(graph.num_nodes()),
       scratch_(graph.num_nodes()),
-      seed_frontier_(graph.num_nodes()),
-      rng_(config.seed),
-      walk_engine_(options.walk_threads) {
-  RESACC_CHECK(config_.Validate().ok());
-  RESACC_CHECK(resacc_options_.r_max_hop > 0.0);
-  r_max_f_ = options.r_max_f > 0.0
-                 ? options.r_max_f
-                 : 1.0 / (10.0 * static_cast<Score>(graph.num_edges()));
-}
+      seed_frontier_(graph.num_nodes()) {}
 
 std::vector<ControlledQueryResult> BatchSolver::QueryBatch(
     std::span<const BatchLane> lanes, std::vector<TopKResult>* topk_results) {
+  const Graph& graph = pipeline_.graph();
   RESACC_CHECK(!lanes.empty() && lanes.size() <= kMaxLanes);
   bool any_topk = false;
   for (const BatchLane& lane : lanes) {
-    RESACC_CHECK(lane.source < graph_.num_nodes());
+    RESACC_CHECK(lane.source < graph.num_nodes());
     any_topk = any_topk || lane.top_k > 0;
   }
   RESACC_CHECK(!any_topk || topk_results != nullptr);
   if (topk_results != nullptr) {
     topk_results->assign(lanes.size(), TopKResult{});
   }
-  topk_out_ = any_topk ? topk_results : nullptr;
   last_stats_ = BatchQueryStats();
   num_lanes_ = lanes.size();
   // Residue + reserve panels; beyond ~2x the L2 size the row fetches miss
   // enough for the kernels' prefetch stages to pay for themselves.
   constexpr std::size_t kPrefetchPanelBytes = std::size_t{4} << 20;
-  prefetch_ = static_cast<std::size_t>(graph_.num_nodes()) * lanes.size() *
+  prefetch_ = static_cast<std::size_t>(graph.num_nodes()) * lanes.size() *
                   sizeof(Score) * 2 >
               kPrefetchPanelBytes;
-  full_mask_ = num_lanes_ == kMaxLanes
-                   ? ~LaneMask{0}
-                   : ((LaneMask{1} << num_lanes_) - 1);
   detached_mask_ = 0;
   dense_mask_ = 0;
 
   std::vector<ControlledQueryResult> results(num_lanes_);
-  state_.Configure(graph_.num_nodes(), num_lanes_);
-  RunResAccBatch(lanes, results);
-  topk_out_ = nullptr;
+  state_.Configure(graph.num_nodes(), num_lanes_);
+  RunResAccBatch(lanes, results, topk_results);
   return results;
 }
 
@@ -186,18 +169,20 @@ BatchFrontier::LaneMask BatchSolver::LanesMeetingCondition(
 void BatchSolver::ScheduleLanes(NodeId v, const Score* rv,
                                 LaneMask candidates, Score r_max,
                                 BatchFrontier& frontier) {
-  const LaneMask sched =
-      LanesMeetingCondition(rv, candidates, graph_.OutDegree(v), r_max);
+  const LaneMask sched = LanesMeetingCondition(
+      rv, candidates, pipeline_.graph().OutDegree(v), r_max);
   if (sched != 0) frontier.Schedule(v, sched);
 }
 
 void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
                             std::span<LaneRun> runs,
                             BatchFrontier& frontier) {
+  const Graph& graph = pipeline_.graph();
+  const RwrConfig& config = pipeline_.config();
   const std::size_t B = num_lanes_;
-  const Score alpha = config_.alpha;
-  const Score keep = 1.0 - config_.alpha;
-  const auto neighbors = graph_.OutNeighbors(u);
+  const Score alpha = config.alpha;
+  const Score keep = 1.0 - config.alpha;
+  const auto neighbors = graph.OutNeighbors(u);
   const NodeId degree = static_cast<NodeId>(neighbors.size());
   Score* ru = state_.ResidueRow(u);
   Score* pu = state_.ReserveRow(u);
@@ -212,7 +197,7 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
       if (residue <= 0.0) continue;
       ++last_stats_.push_operations;
       ru[b] = 0.0;
-      if (config_.dangling == DanglingPolicy::kAbsorb) {
+      if (config.dangling == DanglingPolicy::kAbsorb) {
         pu[b] += residue;
       } else {
         pu[b] += alpha * residue;
@@ -345,13 +330,13 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
     last_stats_.edge_traversals +=
         static_cast<std::uint64_t>(degree) * active_lanes;
   }
-  if (config_.dangling == DanglingPolicy::kBackToSource) {
+  if (config.dangling == DanglingPolicy::kBackToSource) {
     for (LaneMask m = gate; m != 0; m &= m - 1) {
       const std::size_t b = BatchPushState::LaneOf(m);
       const NodeId src = runs[b].source;
       if ((frontier.scheduled(src) & (LaneMask{1} << b)) != 0) continue;
       if (MeetsPushCondition(state_.ResidueRow(src)[b],
-                             graph_.OutDegree(src), r_max)) {
+                             graph.OutDegree(src), r_max)) {
         frontier.Schedule(src, LaneMask{1} << b);
       }
     }
@@ -360,6 +345,8 @@ void BatchSolver::ApplyPush(NodeId u, LaneMask gate, Score r_max,
 
 void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
                                BatchFrontier& frontier) {
+  const Graph& graph = pipeline_.graph();
+  const RwrConfig& config = pipeline_.config();
   // Walk-engine software pipelining, extended to push. The average pop
   // touches ~degree random SoA rows, so the sweep is bound by how many row
   // fetches are in flight, not by arithmetic. Two prefetch stages run
@@ -383,8 +370,8 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
   // decision. A lane that switches is masked out from this pop on, exactly
   // where the serial search would have stopped (before the popped node's
   // gate re-check).
-  const bool hybrid_on =
-      resacc_options_.hybrid.enable && resacc_options_.use_hop_subgraph;
+  const bool hybrid_on = pipeline_.hybrid_on();
+  const ResAccOptions& options = pipeline_.options();
   std::size_t lane_round[kMaxLanes] = {};
   std::uint64_t pops = 0;
   NodeId u = 0;
@@ -400,9 +387,8 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
         const std::size_t b = BatchPushState::LaneOf(m);
         if (lane_round[b] == round) continue;
         lane_round[b] = round;
-        if (DenseBeatsRemedy(graph_, config_, resacc_options_.hybrid,
-                             state_.LaneResidueSum(b),
-                             resacc_options_.walk_scale)) {
+        if (DenseBeatsRemedy(graph, config, options.hybrid,
+                             state_.LaneResidueSum(b), options.walk_scale)) {
           runs[b].path = SolverPath::kDenseResidueMass;
           dense_mask_ |= LaneMask{1} << b;
           mask &= ~(LaneMask{1} << b);
@@ -414,12 +400,12 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
       const std::size_t pending = frontier.pending_count();
       if (pending > kRowAhead) {
         const NodeId far = frontier.pending()[kRowAhead];
-        graph_.PrefetchOutRow(far);
+        graph.PrefetchOutRow(far);
         __builtin_prefetch(state_.ResidueRow(far), 1, 1);
       }
       if (pending > kDepositAhead) {
         const NodeId near = frontier.pending()[kDepositAhead];
-        const auto near_neighbors = graph_.OutNeighbors(near);
+        const auto near_neighbors = graph.OutNeighbors(near);
         const std::size_t fanout =
             std::min(near_neighbors.size(), kDepositFanout);
         for (std::size_t k = 0; k < fanout; ++k) {
@@ -430,98 +416,13 @@ void BatchSolver::SharedRounds(Score r_max, std::span<LaneRun> runs,
     // Per-lane re-check of the push condition, exactly as the serial
     // search re-checks at pop.
     const LaneMask gate = LanesMeetingCondition(
-        state_.ResidueRow(u), mask, graph_.OutDegree(u), r_max);
+        state_.ResidueRow(u), mask, graph.OutDegree(u), r_max);
     if (gate == 0) continue;
     ApplyPush(u, gate, r_max, runs, frontier);
   }
 }
 
-void BatchSolver::FinishLane(std::size_t b, LaneRun& run,
-                             ControlledQueryResult& result, TopKResult* topk) {
-  if (topk != nullptr && run.top_k > 0) {
-    FinishLaneTopK(b, run, result, *topk);
-    return;
-  }
-  if (resacc_options_.hybrid.enable) RecordHybridSelection(run.path);
-  if (!run.detached && run.path != SolverPath::kLocal) {
-    // Dense lane: bridge reserves AND residues into the scratch state in
-    // the lane's serial touched order, then run the exact dense finish the
-    // serial QueryControlled calls — the sweep itself is RNG-free and runs
-    // in fixed CSR order, so the lane's payload is bit-identical to the
-    // serial solve at any lane count.
-    scratch_.Reset();
-    const auto dense_nodes = state_.lane_touched(b);
-    for (std::size_t i = 0; i < dense_nodes.size(); ++i) {
-      if (i + 8 < dense_nodes.size()) {
-        __builtin_prefetch(state_.ResidueRow(dense_nodes[i + 8]) + b, 0, 1);
-        __builtin_prefetch(state_.ReserveRow(dense_nodes[i + 8]) + b, 0, 1);
-      }
-      const NodeId v = dense_nodes[i];
-      scratch_.SetResidue(v, state_.ResidueRow(v)[b]);
-      scratch_.AddReserve(v, state_.ReserveRow(v)[b]);
-    }
-    DenseFinish dense = RunDenseFinish(graph_, config_, run.source, scratch_,
-                                       resacc_options_.hybrid, run.cancel);
-    result.scores = std::move(dense.scores);
-    result.degraded = dense.degraded;
-    result.uncorrected_mass = dense.uncorrected_mass;
-    result.achieved_epsilon = dense.achieved_epsilon;
-    if (dense.stats.cancelled) result.status = run.cancel->StopStatus();
-    return;
-  }
-  result.achieved_epsilon = config_.epsilon;
-  result.scores.assign(graph_.num_nodes(), 0.0);
-  const auto lane_nodes = state_.lane_touched(b);
-  for (std::size_t i = 0; i < lane_nodes.size(); ++i) {
-    if (i + 8 < lane_nodes.size()) {
-      __builtin_prefetch(state_.ReserveRow(lane_nodes[i + 8]) + b, 0, 1);
-    }
-    const NodeId v = lane_nodes[i];
-    result.scores[v] = state_.ReserveRow(v)[b];
-  }
-  Score uncorrected = 0.0;
-  if (run.detached) {
-    result.status = run.status;
-    // A lane stopped before r(s) = 1 was planted computed nothing: the
-    // whole unit of probability mass is unconverted (serial DOA path).
-    uncorrected = run.initialized ? state_.LaneResidueSum(b) : 1.0;
-  } else {
-    // Bridge lane b into a scratch PushState in the lane's serial touched
-    // order: remedy builds walk slices in touched order and sums r_sum the
-    // same way, so this reproduces the serial remedy bit for bit.
-    scratch_.Reset();
-    for (std::size_t i = 0; i < lane_nodes.size(); ++i) {
-      if (i + 8 < lane_nodes.size()) {
-        __builtin_prefetch(state_.ResidueRow(lane_nodes[i + 8]) + b, 0, 1);
-      }
-      const NodeId v = lane_nodes[i];
-      scratch_.SetResidue(v, state_.ResidueRow(v)[b]);
-    }
-    Rng query_rng = rng_.Fork(run.source);
-    const RemedyStats remedy = RunRemedy(
-        graph_, config_, run.source, scratch_, query_rng,
-        result.scores, resacc_options_.walk_scale,
-        /*time_budget_seconds=*/0.0, &walk_engine_, run.cancel);
-    if (remedy.cancelled) result.status = run.cancel->StopStatus();
-    uncorrected = remedy.uncorrected_mass;
-  }
-  result.uncorrected_mass = uncorrected;
-  if (uncorrected > 0.0) {
-    result.degraded = true;
-    result.achieved_epsilon =
-        config_.epsilon + uncorrected / config_.delta;
-  }
-}
-
-void BatchSolver::FinishLaneTopK(std::size_t b, LaneRun& run,
-                                 ControlledQueryResult& result,
-                                 TopKResult& topk) {
-  // Bridge lane b's reserves AND residues into the scratch PushState in
-  // the lane's serial touched order — bit-identical to the state the
-  // serial QueryTopK holds after its push phases — then run the exact
-  // same finish (separation check, refinement, certified skip or remedy
-  // fallback). Determinism of SolveTopKFromState in the state alone is
-  // what makes batched top-k bit-identical to serial.
+void BatchSolver::BridgeLane(std::size_t b) {
   scratch_.Reset();
   const auto lane_nodes = state_.lane_touched(b);
   for (std::size_t i = 0; i < lane_nodes.size(); ++i) {
@@ -533,46 +434,13 @@ void BatchSolver::FinishLaneTopK(std::size_t b, LaneRun& run,
     scratch_.SetResidue(v, state_.ResidueRow(v)[b]);
     scratch_.AddReserve(v, state_.ReserveRow(v)[b]);
   }
-  if (resacc_options_.hybrid.enable) RecordHybridSelection(run.path);
-  if (!run.detached && run.path != SolverPath::kLocal) {
-    // Dense top-k lane, the serial QueryTopK dense branch verbatim: the
-    // full dense vector is exact to an additive eps*delta, so its top-k
-    // prefix with the standard epsilon-relative brackets is a valid
-    // certificate at the configured epsilon.
-    DenseFinish dense = RunDenseFinish(graph_, config_, run.source, scratch_,
-                                       resacc_options_.hybrid, run.cancel);
-    topk = MakeApproximateTopK(dense.scores, run.top_k,
-                               dense.achieved_epsilon, dense.degraded,
-                               dense.uncorrected_mass);
-    if (dense.stats.cancelled) topk.status = run.cancel->StopStatus();
-    result.status = topk.status;
-    result.degraded = topk.degraded;
-    result.uncorrected_mass = topk.uncorrected_mass;
-    result.achieved_epsilon = topk.achieved_epsilon;
-    return;
-  }
-  Status push_status;
-  if (run.detached) {
-    push_status = run.status;
-    // Serial DOA path: nothing ran, the unit of mass still sits on the
-    // source.
-    if (!run.initialized) scratch_.SetResidue(run.source, 1.0);
-  }
-  Rng query_rng = rng_.Fork(run.source);
-  topk = SolveTopKFromState(graph_, config_, run.source, run.top_k, r_max_f_,
-                            resacc_options_.walk_scale, resacc_options_.topk,
-                            scratch_,
-                            query_rng, &walk_engine_, run.cancel, push_status);
-  // Mirror the tags into the lane's ControlledQueryResult row so callers'
-  // uniform status/epsilon accounting keeps working; scores stay empty.
-  result.status = topk.status;
-  result.degraded = topk.degraded;
-  result.uncorrected_mass = topk.uncorrected_mass;
-  result.achieved_epsilon = topk.achieved_epsilon;
 }
 
 void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
-                                 std::vector<ControlledQueryResult>& results) {
+                                 std::vector<ControlledQueryResult>& results,
+                                 std::vector<TopKResult>* topk_results) {
+  const Graph& graph = pipeline_.graph();
+  const RwrConfig& config = pipeline_.config();
   const std::size_t B = num_lanes_;
   frontier_.Clear();
   Timer phase_timer;
@@ -582,7 +450,7 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
     runs[b].cancel = lanes[b].cancel;
     runs[b].top_k = lanes[b].top_k;
   }
-  PollLanes(runs);  // dead-on-arrival lanes never plant r(s) = 1
+  PollLanes(runs);  // dead-on-arrival lanes never run h-HopFWD
 
   // ---- Phases 1-2a, lane-local: h-HopFWD and the OMFWD seed round. The
   // hop-restricted frontiers of distinct sources rarely overlap, and a
@@ -590,70 +458,41 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
   // residue-sorted seed order), so neither gives the shared sweep anything
   // to amortize — worse, running them against the SoA panels scatters
   // unamortized single-lane writes across tens of megabytes. Each lane
-  // instead runs the *serial* phases (the very same RunHHopFwd /
-  // PushAndSchedule the serial solver calls, so bit-identity holds by
+  // instead runs the *serial* phases (the pipeline's RunHopPhase and the
+  // PushAndSchedule step the serial solver calls, so bit-identity holds by
   // construction) on the flat L2-resident scratch state at serial speed;
   // the combined hop + seed-round state is transplanted into the SoA lane
   // once, in the lane's serial touched order, and the lane's staged
   // round-1 set feeds the shared frontier. The shared union rounds take
   // over from round 1, where the whole-graph wavefronts do overlap.
-  HHopFwdOptions hop_options;
-  hop_options.r_max_hop = resacc_options_.use_hop_subgraph
-                              ? resacc_options_.r_max_hop
-                              : r_max_f_;
-  hop_options.num_hops = resacc_options_.num_hops;
-  hop_options.use_loop_accumulation = resacc_options_.use_loop_accumulation;
-  hop_options.use_hop_subgraph = resacc_options_.use_hop_subgraph;
-  hop_options.max_hop_set_fraction = resacc_options_.max_hop_set_fraction;
-  // Hybrid selection point 1 per lane, the serial RunPushPhases probe
-  // verbatim: the decision is a pure function of the BFS-derived stats
-  // (same RunHHopFwd on the same scratch state), so a lane selects the
-  // dense path exactly when its serial replay would.
-  const bool hybrid_on =
-      resacc_options_.hybrid.enable && resacc_options_.use_hop_subgraph;
+  const Score r_max_f = pipeline_.r_max_f();
+  const bool use_omfwd = pipeline_.options().use_omfwd;
+  HopLayers layers;
+  std::vector<NodeId> seeds;
   double hop_seconds = 0.0;
   for (std::size_t b = 0; b < B; ++b) {
     LaneRun& run = runs[b];
-    if (run.detached) continue;
-    hop_options.cancel = run.cancel;
-    if (hybrid_on) {
-      hop_options.dense_probe = [&](const HHopFwdStats& hop_stats) {
-        const SolverPath choice = ChooseFromHopStats(
-            graph_, config_, resacc_options_.hybrid, hop_options.r_max_hop,
-            hop_stats.shrink_floored,
-            static_cast<double>(hop_stats.hop_set_edges));
-        if (choice == SolverPath::kLocal) return false;
-        run.path = choice;
-        return true;
-      };
-    }
-    const double lane_start = phase_timer.ElapsedSeconds();
     scratch_.Reset();
-    const HHopFwdStats hop_stats = RunHHopFwd(
-        graph_, config_, run.source, hop_options, scratch_, &run.layers);
-    run.initialized = true;
-    hop_seconds += phase_timer.ElapsedSeconds() - lane_start;
-    if (hop_stats.shrink_hops > 0 || hop_stats.shrink_floored) {
-      RecordHubShrink();
+    if (run.detached) {
+      // Dead on arrival, as in the serial solver: r(s) = 1 planted,
+      // nothing pushed.
+      scratch_.SetResidue(run.source, 1.0);
+    } else {
+      const double lane_start = phase_timer.ElapsedSeconds();
+      pipeline_.RunHopPhase(run.source, scratch_, run.cancel, &run.path,
+                            &layers);
+      hop_seconds += phase_timer.ElapsedSeconds() - lane_start;
+      PollLanes(runs);  // serial phase-boundary check after this lane's hop
     }
-    PollLanes(runs);  // serial phase-boundary check after this lane's hop
-    if (!run.detached && run.path == SolverPath::kLocal &&
-        resacc_options_.use_omfwd && !run.layers.layers.empty()) {
-      run.seeds = run.layers.layers.back();
-      // Algorithm 4 line 1: decreasing residue (this lane's residues),
-      // ties broken by id.
-      std::sort(run.seeds.begin(), run.seeds.end(),
-                [&](NodeId x, NodeId y) {
-                  const Score rx = scratch_.residue(x);
-                  const Score ry = scratch_.residue(y);
-                  if (rx != ry) return rx > ry;
-                  return x < y;
-                });
+    if (!run.detached && run.path == SolverPath::kLocal && use_omfwd &&
+        !layers.layers.empty()) {
+      seeds = layers.layers.back();
+      SortOmfwdSeeds(seeds, scratch_);
       // Round 0: unconditional seed pushes, replayed with the serial
       // search's exact step (PushAndSchedule, forward_push.h) on the
       // serial Frontier, which stages this lane's round-1 set.
       PushStats seed_stats;
-      for (NodeId s : run.seeds) seed_frontier_.Seed(s);
+      for (NodeId s : seeds) seed_frontier_.Seed(s);
       std::uint64_t pops = 0;
       NodeId s = 0;
       while (seed_frontier_.pending_count() > 0) {
@@ -662,7 +501,7 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
           PollLanes(runs);
           if (run.detached) break;
         }
-        PushAndSchedule(graph_, config_, run.source, s, r_max_f_, scratch_,
+        PushAndSchedule(graph, config, run.source, s, r_max_f, scratch_,
                         seed_frontier_, seed_stats);
       }
       last_stats_.push_operations += seed_stats.push_operations;
@@ -687,25 +526,28 @@ void BatchSolver::RunResAccBatch(std::span<const BatchLane> lanes,
     seed_frontier_.Clear();
     // A probe-selected dense lane carries exactly r(source) = 1 in its SoA
     // column and schedules nothing: the shared rounds never see it, and
-    // FinishLane power-iterates it from that clean unit of mass.
+    // the finish power-iterates it from that clean unit of mass.
     if (run.path != SolverPath::kLocal) dense_mask_ |= bit;
   }
   last_stats_.hop_seconds = hop_seconds;
 
   // ---- Phase 2b: the shared union rounds (>= 1) of OMFWD.
-  if (resacc_options_.use_omfwd) {
-    SharedRounds(r_max_f_, runs, frontier_);
-  }
+  if (use_omfwd) SharedRounds(r_max_f, runs, frontier_);
 
   PollLanes(runs);  // serial phase-boundary check after OMFWD
   last_stats_.omfwd_seconds =
       phase_timer.ElapsedSeconds() - last_stats_.hop_seconds;
 
-  // ---- Phase 3: remedy, per lane (walks do not amortize across lanes).
-  // Top-k lanes take the bound-certificate finish instead.
+  // ---- Phase 3, per lane (walks do not amortize across lanes): the
+  // lane's state goes back to the flat scratch state in its serial touched
+  // order, and the pipeline finishes it exactly as the serial solver
+  // finishes the same state — dense sweep, top-k certificate or remedy.
   for (std::size_t b = 0; b < B; ++b) {
-    FinishLane(b, runs[b], results[b],
-               topk_out_ != nullptr ? &(*topk_out_)[b] : nullptr);
+    const LaneRun& run = runs[b];
+    BridgeLane(b);
+    results[b] = pipeline_.Finish(
+        run.source, run.top_k, run.cancel, run.path, run.status, scratch_,
+        run.top_k > 0 ? &(*topk_results)[b] : nullptr, /*stats=*/nullptr);
   }
   last_stats_.remedy_seconds = phase_timer.ElapsedSeconds() -
                                last_stats_.hop_seconds -

@@ -5,19 +5,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "resacc/core/frontier.h"
 #include "resacc/core/push_state.h"
 #include "resacc/core/resacc_solver.h"
 #include "resacc/core/ssrwr_algorithm.h"
-#include "resacc/core/walk_engine.h"
 #include "resacc/graph/graph.h"
-#include "resacc/graph/hop_layers.h"
 #include "resacc/util/cancellation.h"
 #include "resacc/util/huge_array.h"
-#include "resacc/util/rng.h"
 
 namespace resacc {
 
@@ -133,8 +129,9 @@ class BatchPushState {
 // rounds serves every lane that scheduled the node, and the per-lane
 // residue updates run as contiguous compiler-vectorized loops over the SoA
 // lanes. It runs the ResAcc pipeline: h-HopFWD and the OMFWD seed round
-// per lane, the shared OMFWD rounds, then remedy walks per lane (walks do
-// not amortize).
+// per lane, the shared OMFWD rounds, then the per-lane finish (walks do
+// not amortize). Everything but the shared push kernels goes through the
+// same ResAccPipeline the serial ResAccSolver uses.
 //
 // Contract (the tentpole guarantees):
 //  * Per-source results are BIT-IDENTICAL to a serial ResAccSolver with
@@ -159,8 +156,6 @@ class BatchSolver {
   BatchSolver(const Graph& graph, const RwrConfig& config,
               const ResAccOptions& options = {});
 
-  const std::string& name() const { return name_; }
-
   // Solves all lanes (1 <= lanes.size() <= kMaxLanes); results are indexed
   // like `lanes`. Each result is exactly what the serial solver's
   // QueryControlled would return for that lane's (source, cancel).
@@ -168,7 +163,7 @@ class BatchSolver {
   // Lanes with top_k > 0 require a non-null `topk_results` (resized and
   // indexed like `lanes`); each such lane gets the serial QueryTopK's
   // bit-identical TopKResult — the lane's post-OMFWD state is bridged into
-  // the shared SolveTopKFromState finish — and its ControlledQueryResult
+  // the shared ResAccPipeline::Finish — and its ControlledQueryResult
   // carries only the status/epsilon tags (scores left empty). Full-vector
   // lanes leave their TopKResult empty.
   std::vector<ControlledQueryResult> QueryBatch(
@@ -190,19 +185,17 @@ class BatchSolver {
     NodeId source = 0;
     const CancellationToken* cancel = nullptr;
     std::size_t top_k = 0;            // > 0: top-k lane
-    HopLayers layers;                 // h-hop decomposition (OMFWD seeds)
-    std::vector<NodeId> seeds;        // current phase's per-lane seed list
-    bool initialized = false;         // r(source) = 1 has been planted
     bool detached = false;
     Status status;
     // Hybrid selection outcome of this lane (core/power_iter.h): a dense
-    // lane skips the shared rounds and remedy; FinishLane hands its
-    // bridged state to the same RunDenseFinish the serial solver calls.
+    // lane skips the shared rounds; its bridged state goes to the same
+    // pipeline finish as the serial solver's, which sweeps it densely.
     SolverPath path = SolverPath::kLocal;
   };
 
   void RunResAccBatch(std::span<const BatchLane> lanes,
-                      std::vector<ControlledQueryResult>& results);
+                      std::vector<ControlledQueryResult>& results,
+                      std::vector<TopKResult>* topk_results);
 
   // Polls every live lane's token and detaches the fired ones.
   void PollLanes(std::span<LaneRun> runs);
@@ -229,48 +222,31 @@ class BatchSolver {
   void SharedRounds(Score r_max, std::span<LaneRun> runs,
                     BatchFrontier& frontier);
 
-  // Remedy + result assembly for one lane (bridges the lane's state into a
-  // scratch PushState in the lane's serial touched order). A non-null
-  // `topk` routes a top-k lane through FinishLaneTopK instead.
-  void FinishLane(std::size_t b, LaneRun& run, ControlledQueryResult& result,
-                  TopKResult* topk = nullptr);
+  // Copies lane b's reserves and residues into scratch_ in the lane's
+  // serial touched order: the flat state the serial solver holds at the
+  // same point, ready for the shared finish.
+  void BridgeLane(std::size_t b);
 
-  // Top-k finish of a lane: bridges reserves AND residues into the
-  // scratch state (same serial touched order) and hands it to the exact
-  // function the serial QueryTopK calls — bit-identity by construction.
-  void FinishLaneTopK(std::size_t b, LaneRun& run,
-                      ControlledQueryResult& result, TopKResult& topk);
-
-  const Graph& graph_;
-  RwrConfig config_;
-  ResAccOptions resacc_options_;
-  Score r_max_f_ = 0.0;  // OMFWD threshold (default applied)
-  std::string name_;
-
+  ResAccPipeline pipeline_;
   BatchPushState state_;
   BatchFrontier frontier_;
   // Per-lane scratch: hosts the lane-local serial h-HopFWD run and OMFWD
   // round 0 (neither overlaps across lanes, so both run at serial speed on
   // the flat L2-resident state and are transplanted into the SoA once) and
-  // later the bridge into RunRemedy.
+  // later the bridge into the pipeline's finish.
   PushState scratch_;
   // Serial work list for the lane-local OMFWD round 0: replays the serial
   // Frontier's exact seed-round scheduling semantics, then hands its
   // staged round-1 set to the shared frontier_.
   Frontier seed_frontier_;
-  Rng rng_;
-  WalkEngine walk_engine_;
   BatchQueryStats last_stats_;
 
   std::size_t num_lanes_ = 0;
-  LaneMask full_mask_ = 0;
   LaneMask detached_mask_ = 0;
   // Lanes the hybrid selector handed to the dense path: masked out of the
   // shared rounds exactly where the serial solver's round hook would have
-  // stopped its search (SharedRounds), finished densely in FinishLane.
+  // stopped its search (SharedRounds), finished densely by the pipeline.
   LaneMask dense_mask_ = 0;
-  // Per-call out-param for top-k lanes (null when the batch has none).
-  std::vector<TopKResult>* topk_out_ = nullptr;
   // Software prefetch is worth its issue slots only while the SoA panels
   // overflow the fast cache levels; small graphs run the kernels without
   // the prefetch stages. Set per QueryBatch from the panel footprint.

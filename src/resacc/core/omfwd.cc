@@ -4,19 +4,20 @@
 
 namespace resacc {
 
-PushStats RunOmfwd(const Graph& graph, const RwrConfig& config, NodeId source,
-                   Score r_max_f, std::vector<NodeId> frontier,
-                   PushState& state, const CancellationToken* cancel,
-                   const PushRoundHook* round_hook) {
-  // Algorithm 4 line 1: decreasing order of (accumulated) residue, so the
-  // largest masses flow first and downstream nodes aggregate them into
-  // fewer pushes. Ties broken by id for determinism.
-  std::sort(frontier.begin(), frontier.end(), [&state](NodeId a, NodeId b) {
+void SortOmfwdSeeds(std::vector<NodeId>& seeds, const PushState& state) {
+  std::sort(seeds.begin(), seeds.end(), [&state](NodeId a, NodeId b) {
     if (state.residue(a) != state.residue(b)) {
       return state.residue(a) > state.residue(b);
     }
     return a < b;
   });
+}
+
+PushStats RunOmfwd(const Graph& graph, const RwrConfig& config, NodeId source,
+                   Score r_max_f, std::vector<NodeId> frontier,
+                   PushState& state, const CancellationToken* cancel,
+                   const PushRoundHook* round_hook) {
+  SortOmfwdSeeds(frontier, state);
   // FIFO after the sorted seeds: level-synchronous draining aggregates a
   // node's whole in-frontier before the node is popped — measured both
   // fewer pushes and ~2x less time than a strict max-residue heap (see

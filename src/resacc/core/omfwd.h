@@ -10,17 +10,23 @@
 
 namespace resacc {
 
+// Algorithm 4 line 1, OMFWD's seed order: decreasing (accumulated)
+// residue in `state`, ties broken by id for determinism. The largest
+// masses flow first, so downstream nodes aggregate them into fewer pushes.
+// The batch solver's per-lane seed round sorts with this same order.
+void SortOmfwdSeeds(std::vector<NodeId>& seeds, const PushState& state);
+
 // OMFWD, the "one-more forward search" (Algorithm 4): seeds the push queue
 // with the accumulation frontier L_(h+1)-hop(s) in decreasing residue
 // order, pushes each seed once unconditionally, then keeps pushing any
 // node that satisfies the push condition with r_max_f until quiescent.
 //
 // `frontier` is typically layers.back() from RunHHopFwd; it is copied and
-// sorted internally. A non-null `cancel` token stops the search early (see
-// RunForwardSearch for the partial-state contract). A non-null
-// `round_hook` fires at each wavefront-round promotion (see PushRoundHook);
-// the hybrid selector hangs its residue-mass check there — round
-// boundaries are the points where serial and batched replays see
+// sorted internally (SortOmfwdSeeds). A non-null `cancel` token stops the
+// search early (see RunForwardSearch for the partial-state contract). A
+// non-null `round_hook` fires at each wavefront-round promotion (see
+// PushRoundHook); the hybrid selector hangs its residue-mass check there —
+// round boundaries are the points where serial and batched replays see
 // bit-identical residues.
 PushStats RunOmfwd(const Graph& graph, const RwrConfig& config, NodeId source,
                    Score r_max_f, std::vector<NodeId> frontier,

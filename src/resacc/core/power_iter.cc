@@ -232,11 +232,8 @@ DenseFinish RunDenseFinish(const Graph& graph, const RwrConfig& config,
   if (out.stats.cancelled) {
     out.degraded = true;
     out.uncorrected_mass = out.stats.leftover_mass;
-    // Same accounting as the local solver's finish: each unit of leftover
-    // mass adds <= that much absolute error, i.e. uncorrected/delta
-    // relative error on nodes above delta.
-    out.achieved_epsilon =
-        config.epsilon + out.uncorrected_mass / config.delta;
+    // Same accounting as the local solver's finish.
+    out.achieved_epsilon = config.AchievedEpsilon(out.uncorrected_mass);
   }
   return out;
 }

@@ -83,10 +83,10 @@ double RemedyCost(const RwrConfig& config, Score residue_sum,
 // Selection point 1 (after the hop-layer BFS, before any push): choose the
 // dense path when the adaptive cap bottomed out at its 1-hop floor with
 // the hop set still over the cap, or when the hop set's edge count makes
-// the accumulating phase alone beat cost_ratio x the dense bound. Both
-// ResAccSolver and BatchSolver call this from their dense_probe hooks with
-// identical inputs, so a batched lane selects exactly like its serial
-// replay. Returns kLocal to continue locally.
+// the accumulating phase alone beat cost_ratio x the dense bound. Called
+// from ResAccPipeline::RunHopPhase's dense_probe hook, which serial
+// queries and batch lanes share, so a batched lane selects exactly like
+// its serial replay. Returns kLocal to continue locally.
 SolverPath ChooseFromHopStats(const Graph& graph, const RwrConfig& config,
                               const HybridOptions& options, Score r_max_hop,
                               bool shrink_floored, double hop_set_edges);
@@ -119,10 +119,10 @@ PowerIterStats RunDensePowerIter(const Graph& graph, const RwrConfig& config,
                                  const HybridOptions& options,
                                  const CancellationToken* cancel = nullptr);
 
-// The shared dense finish used verbatim by ResAccSolver (QueryControlled /
-// QueryTopK) and BatchSolver (FinishLane / FinishLaneTopK): seeds scores
-// from the reserves of `state`, runs RunDensePowerIter from its residues,
-// and fills the Definition-1 accounting tags. Keeping this in one place is
+// The dense finish, called from ResAccPipeline::Finish for serial queries
+// and batch lanes, full-vector and top-k alike: seeds scores from the
+// reserves of `state`, runs RunDensePowerIter from its residues, and
+// fills the Definition-1 accounting tags. Keeping this in one place is
 // what makes a dense lane's payload bit-identical to the serial solve.
 struct DenseFinish {
   std::vector<Score> scores;

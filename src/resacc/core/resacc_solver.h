@@ -59,8 +59,9 @@ struct ResAccOptions {
   bool use_hop_subgraph = true;       // false => "No-SG-ResAcc"
   bool use_omfwd = true;              // false => "No-OFD-ResAcc"
 
-  // Test hook: invoked at the start of each phase with "hhop", "omfwd",
-  // "remedy" or "topk" (same precedent as ServeOptions::dequeue_hook). Lets tests
+  // Test hook: invoked at the start of each phase of a serial query with
+  // "hhop", "omfwd", "remedy", "dense" or "topk" (same precedent as
+  // ServeOptions::dequeue_hook); batch lanes never call it. Lets tests
   // cancel deterministically *inside* a chosen phase instead of racing a
   // timer. Not hashed by the serve layer's config hash — hooks must not
   // change results.
@@ -87,6 +88,61 @@ struct ResAccQueryStats {
   PowerIterStats dense;
 };
 
+// The per-query decisions of the ResAcc pipeline (Algorithm 2 plus the
+// hybrid selector), written once for ResAccSolver and BatchSolver: the
+// construction defaults, phase 1 with hybrid selection point 1, and the
+// finish. The push kernels stay with their solvers; every decision a batch
+// lane shares with its serial replay lives here, so the lane stays
+// bit-identical to the serial solve by construction.
+class ResAccPipeline {
+ public:
+  // Checks the config and applies the r_max^f = 1/(10 m) default.
+  ResAccPipeline(const Graph& graph, const RwrConfig& config,
+                 const ResAccOptions& options);
+
+  const Graph& graph() const { return graph_; }
+  const RwrConfig& config() const { return config_; }
+  const ResAccOptions& options() const { return options_; }
+  Score r_max_f() const { return r_max_f_; }
+
+  // The hybrid selector runs only with the hop subgraph on: the ablations
+  // stay pure-local.
+  bool hybrid_on() const {
+    return options_.hybrid.enable && options_.use_hop_subgraph;
+  }
+
+  // Phase 1: h-HopFWD from `source` on `state`, cancellable through
+  // `cancel`. Selection point 1 runs after the hop-layer BFS: when it hands
+  // the query to the dense path it sets *path and the state keeps the
+  // clean r(s) = 1 unit. Counts adaptive hop-cap shrinks.
+  HHopFwdStats RunHopPhase(NodeId source, PushState& state,
+                           const CancellationToken* cancel, SolverPath* path,
+                           HopLayers* layers) const;
+
+  // Finishes one query from `state` as phases 1-2 left it (or r(s) = 1 for
+  // a query dead on arrival): a non-OK `push_status` returns the reserves
+  // with the residue mass uncorrected; otherwise a dense `path` runs the
+  // power-iteration sweep, a top-k query (non-null `topk`, k = `top_k`)
+  // runs SolveTopKFromState, and a full query runs the remedy walks. A
+  // top-k query's result carries only its tags; `*topk` gets the entries.
+  // A non-null `stats` marks a serial query: it then fires the phase hooks,
+  // opens the phase spans, records the phase timings and (full queries)
+  // the solver's phase histograms. `state` is consumed.
+  ControlledQueryResult Finish(NodeId source, std::size_t top_k,
+                               const CancellationToken* cancel,
+                               SolverPath path, const Status& push_status,
+                               PushState& state, TopKResult* topk,
+                               ResAccQueryStats* stats);
+
+ private:
+  const Graph& graph_;
+  RwrConfig config_;
+  ResAccOptions options_;
+  Score r_max_f_;
+  Rng rng_;
+  WalkEngine walk_engine_;
+};
+
 // The paper's algorithm: h-HopFWD + OMFWD + remedy (Algorithm 2). One
 // instance per graph; Query is repeatable and reuses workspaces.
 class ResAccSolver : public SsrwrAlgorithm {
@@ -111,7 +167,8 @@ class ResAccSolver : public SsrwrAlgorithm {
   // unchanged, then refines at shrinking thresholds until rank k
   // separates — a certified result skips the remedy walks entirely; an
   // unseparated one falls back to remedy on the refined state. The shared
-  // finish step makes BatchSolver's top-k lanes bit-identical to this.
+  // finish (ResAccPipeline::Finish) makes BatchSolver's top-k lanes
+  // bit-identical to this.
   TopKResult QueryTopK(NodeId source, std::size_t k,
                        const QueryControl& control = QueryControl{}) override;
 
@@ -119,26 +176,28 @@ class ResAccSolver : public SsrwrAlgorithm {
   const ResAccQueryStats& last_stats() const { return last_stats_; }
 
   // Effective r_max^f after applying the 1/(10 m) default.
-  Score effective_r_max_f() const { return r_max_f_; }
+  Score effective_r_max_f() const { return pipeline_.r_max_f(); }
 
-  const RwrConfig& config() const { return config_; }
-  const ResAccOptions& options() const { return options_; }
+  const RwrConfig& config() const { return pipeline_.config(); }
+  const ResAccOptions& options() const { return pipeline_.options(); }
 
  private:
+  // The body QueryControlled and QueryTopK share: reset, the
+  // dead-on-arrival check, phases 1-2, then the pipeline's finish. A
+  // non-null `topk` makes it a top-k query for k = `top_k`.
+  ControlledQueryResult RunQuery(NodeId source, std::size_t top_k,
+                                 const CancellationToken* cancel,
+                                 TopKResult* topk);
+
   // Phases 1-2 of Algorithm 2 (h-HopFWD + OMFWD) on state_, with the
   // usual per-phase stats/metrics/hooks. Returns the stop status: OK when
   // both phases completed, the token's status when one was cut short
   // (state_ then holds the valid partial reserves/residues).
   Status RunPushPhases(NodeId source, const CancellationToken* cancel);
 
-  const Graph& graph_;
-  RwrConfig config_;
-  ResAccOptions options_;
-  Score r_max_f_;
+  ResAccPipeline pipeline_;
   std::string name_;
   PushState state_;
-  Rng rng_;
-  WalkEngine walk_engine_;
   ResAccQueryStats last_stats_;
 };
 

@@ -71,6 +71,14 @@ struct RwrConfig {
     return (2.0 * epsilon / 3.0 + 2.0) * std::log(2.0 / p_f) /
            (epsilon * epsilon * delta);
   }
+
+  // epsilon + uncorrected_mass / delta: the accuracy a result can still
+  // claim when `uncorrected_mass` of probability was never converted. Each
+  // unit adds at most that much absolute error to any score, which nodes
+  // above delta turn into relative error (Theorem 3's residual term).
+  double AchievedEpsilon(Score uncorrected_mass) const {
+    return epsilon + uncorrected_mass / delta;
+  }
 };
 
 }  // namespace resacc

@@ -152,7 +152,7 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
     result.certified = false;
     result.degraded = true;
     result.uncorrected_mass = r_sum;
-    result.achieved_epsilon = config.epsilon + r_sum / config.delta;
+    result.achieved_epsilon = config.AchievedEpsilon(r_sum);
     EntriesFromReserves(state, n, k, r_sum, result, scratch);
     if (k < n) {
       SeparationView sep = CheckSeparation(state, n, k, scratch);
@@ -264,7 +264,7 @@ TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
   const bool truncated = remedy.uncorrected_mass > 0.0;
   TopKResult approx = MakeApproximateTopK(
       scores, k,
-      truncated ? config.epsilon + remedy.uncorrected_mass / config.delta
+      truncated ? config.AchievedEpsilon(remedy.uncorrected_mass)
                 : config.epsilon,
       truncated, remedy.uncorrected_mass);
   if (remedy.cancelled && cancel != nullptr) {

@@ -44,8 +44,8 @@ namespace resacc {
 //
 // Deterministic in (state, k, options) alone: the batched solver bridges
 // each lane's bit-identical post-OMFWD state into a scratch PushState and
-// calls this same function, so batched top-k is bit-identical to serial
-// by construction. `state` is consumed (refined in place).
+// finishes it through the same ResAccPipeline::Finish call, so batched
+// top-k is bit-identical to serial by construction. `state` is consumed (refined in place).
 TopKResult SolveTopKFromState(const Graph& graph, const RwrConfig& config,
                               NodeId source, std::size_t k, Score r_max_start,
                               double walk_scale, const TopKOptions& options,

@@ -35,6 +35,24 @@ void ExpectBitIdentical(const std::vector<Score>& serial,
   }
 }
 
+// Bitwise equality of two top-k results: tags, certificate and every
+// entry's bracket.
+void ExpectSameTopK(const TopKResult& want, const TopKResult& got) {
+  EXPECT_EQ(want.certified, got.certified);
+  EXPECT_EQ(want.degraded, got.degraded);
+  EXPECT_EQ(want.uncorrected_mass, got.uncorrected_mass);
+  EXPECT_EQ(want.outsider_upper, got.outsider_upper);
+  EXPECT_EQ(want.bound_gap, got.bound_gap);
+  EXPECT_EQ(want.achieved_epsilon, got.achieved_epsilon);
+  ASSERT_EQ(want.entries.size(), got.entries.size());
+  for (std::size_t r = 0; r < want.entries.size(); ++r) {
+    EXPECT_EQ(want.entries[r].node, got.entries[r].node) << "rank " << r;
+    EXPECT_EQ(want.entries[r].estimate, got.entries[r].estimate);
+    EXPECT_EQ(want.entries[r].lower, got.entries[r].lower);
+    EXPECT_EQ(want.entries[r].upper, got.entries[r].upper);
+  }
+}
+
 std::vector<NodeId> PickSources(const Graph& graph, std::size_t count) {
   std::vector<NodeId> sources;
   const NodeId stride = std::max<NodeId>(1, graph.num_nodes() / 17);
@@ -123,20 +141,8 @@ TEST_P(BatchBitIdentityTest, TopKLanesMatchSerialAcrossBatchSizes) {
         SCOPED_TRACE(::testing::Message()
                      << "batch_size=" << batch_size << " source="
                      << sources[i]);
-        const TopKResult& want = expected[i];
-        const TopKResult& got = topks[i - begin];
-        EXPECT_TRUE(got.status.ok());
-        EXPECT_EQ(want.certified, got.certified);
-        EXPECT_EQ(want.outsider_upper, got.outsider_upper);
-        EXPECT_EQ(want.bound_gap, got.bound_gap);
-        EXPECT_EQ(want.achieved_epsilon, got.achieved_epsilon);
-        ASSERT_EQ(want.entries.size(), got.entries.size());
-        for (std::size_t r = 0; r < want.entries.size(); ++r) {
-          EXPECT_EQ(want.entries[r].node, got.entries[r].node) << "rank " << r;
-          EXPECT_EQ(want.entries[r].estimate, got.entries[r].estimate);
-          EXPECT_EQ(want.entries[r].lower, got.entries[r].lower);
-          EXPECT_EQ(want.entries[r].upper, got.entries[r].upper);
-        }
+        EXPECT_TRUE(topks[i - begin].status.ok());
+        ExpectSameTopK(expected[i], topks[i - begin]);
       }
     }
   }
@@ -301,6 +307,71 @@ TEST(BatchSolverTest, PreCancelledLaneDetachesWithoutPerturbingOthers) {
         serial.QueryControlled(lanes[i].source, QueryControl{});
     EXPECT_TRUE(got[i].status.ok());
     ExpectBitIdentical(expected.scores, got[i].scores, "survivor");
+  }
+}
+
+// Full and top-k lanes whose token fired before the batch started take
+// the serial dead-on-arrival path. Every tag, score and top-k entry must
+// match serial QueryControlled / QueryTopK given the same fired token, bit
+// for bit, at every batch size and with the hybrid selector on or off.
+TEST(BatchSolverTest, PreCancelledLanesMatchSerialDeadOnArrival) {
+  const Graph graph = ChungLuPowerLaw(1000, 6000, 2.5, /*seed=*/13);
+  const RwrConfig config =
+      TestConfig(graph.num_nodes(), DanglingPolicy::kBackToSource);
+  const std::size_t k = 10;
+  const std::vector<NodeId> sources = PickSources(graph, 16);
+  CancellationToken fired;
+  fired.Cancel();
+  QueryControl control;
+  control.cancel = &fired;
+
+  for (bool hybrid : {false, true}) {
+    ResAccOptions options;
+    options.walk_scale = 0.2;
+    options.hybrid.enable = hybrid;
+    ResAccSolver serial(graph, config, options);
+    BatchSolver batch(graph, config, options);
+    std::vector<ControlledQueryResult> want_full;
+    std::vector<TopKResult> want_topk;
+    for (NodeId s : sources) {
+      want_full.push_back(serial.QueryControlled(s, control));
+      want_topk.push_back(serial.QueryTopK(s, k, control));
+    }
+    for (std::size_t batch_size : {std::size_t{1}, std::size_t{4},
+                                   std::size_t{16}}) {
+      for (std::size_t begin = 0; begin < sources.size();
+           begin += batch_size) {
+        std::vector<BatchLane> full_lanes;
+        std::vector<BatchLane> topk_lanes;
+        for (std::size_t i = begin; i < begin + batch_size; ++i) {
+          full_lanes.push_back(BatchLane{sources[i], &fired, 0});
+          topk_lanes.push_back(BatchLane{sources[i], &fired, k});
+        }
+        const auto full = batch.QueryBatch(full_lanes);
+        std::vector<TopKResult> topks;
+        const auto tags = batch.QueryBatch(topk_lanes, &topks);
+        for (std::size_t i = begin; i < begin + batch_size; ++i) {
+          SCOPED_TRACE(::testing::Message()
+                       << "hybrid=" << hybrid << " batch_size=" << batch_size
+                       << " source=" << sources[i]);
+          const ControlledQueryResult& want = want_full[i];
+          const ControlledQueryResult& got = full[i - begin];
+          EXPECT_EQ(want.status.code(), got.status.code());
+          EXPECT_EQ(want.degraded, got.degraded);
+          EXPECT_EQ(want.uncorrected_mass, got.uncorrected_mass);
+          EXPECT_EQ(want.achieved_epsilon, got.achieved_epsilon);
+          ExpectBitIdentical(want.scores, got.scores, "dead on arrival");
+
+          const TopKResult& want_k = want_topk[i];
+          const TopKResult& got_k = topks[i - begin];
+          EXPECT_EQ(want_k.status.code(), got_k.status.code());
+          ExpectSameTopK(want_k, got_k);
+          // The lane's tag row mirrors its top-k result.
+          EXPECT_EQ(got_k.status.code(), tags[i - begin].status.code());
+          EXPECT_EQ(got_k.achieved_epsilon, tags[i - begin].achieved_epsilon);
+        }
+      }
+    }
   }
 }
 

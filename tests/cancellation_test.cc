@@ -18,6 +18,7 @@
 #include "resacc/algo/fora.h"
 #include "resacc/algo/monte_carlo.h"
 #include "resacc/core/resacc_solver.h"
+#include "resacc/core/topk.h"
 #include "resacc/eval/ground_truth.h"
 #include "resacc/graph/generators.h"
 #include "resacc/obs/metrics_registry.h"
@@ -87,22 +88,32 @@ TEST(CancellationTokenTest, CopiesShareState) {
 
 struct PhaseCancelOutcome {
   ControlledQueryResult result;
+  TopKResult topk;  // filled by top-k queries only
   // Phase-histogram count deltas observed across the query.
   std::uint64_t hhop_delta = 0;
   std::uint64_t omfwd_delta = 0;
   std::uint64_t remedy_delta = 0;
+  std::uint64_t dense_delta = 0;
   std::uint64_t queries_delta = 0;
+  std::uint64_t degraded_delta = 0;
   std::uint64_t cancelled_delta = 0;
   std::uint64_t query_hist_delta = 0;
+  std::uint64_t topk_queries_delta = 0;
+  std::uint64_t topk_certified_delta = 0;
+  std::uint64_t topk_fallback_delta = 0;
 };
 
 // Runs one query that cancels itself at the start of `phase` (via the
 // phase_hook, so the cancel lands deterministically inside the pipeline
 // rather than racing a timer) and captures the solver-metric deltas.
+// `top_k` > 0 runs QueryTopK instead of QueryControlled.
 PhaseCancelOutcome CancelAtPhase(const Graph& graph, const RwrConfig& config,
-                                 NodeId source, const std::string& phase) {
+                                 NodeId source, const std::string& phase,
+                                 std::size_t top_k = 0) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter& queries = registry.GetCounter("resacc_solver_queries_total", "");
+  Counter& degraded =
+      registry.GetCounter("resacc_solver_queries_degraded_total", "");
   Counter& cancelled =
       registry.GetCounter("resacc_solver_queries_cancelled_total", "");
   LatencyHistogram& hhop =
@@ -111,15 +122,27 @@ PhaseCancelOutcome CancelAtPhase(const Graph& graph, const RwrConfig& config,
       registry.GetHistogram("resacc_solver_phase_seconds", "phase=\"omfwd\"");
   LatencyHistogram& remedy =
       registry.GetHistogram("resacc_solver_phase_seconds", "phase=\"remedy\"");
+  LatencyHistogram& dense =
+      registry.GetHistogram("resacc_solver_phase_seconds", "phase=\"dense\"");
   LatencyHistogram& total =
       registry.GetHistogram("resacc_solver_query_seconds", "");
+  Counter& topk_queries = registry.GetCounter("resacc_topk_queries_total", "");
+  Counter& topk_certified =
+      registry.GetCounter("resacc_topk_certified_total", "");
+  Counter& topk_fallback =
+      registry.GetCounter("resacc_topk_fallback_total", "");
 
   const std::uint64_t queries0 = queries.Value();
+  const std::uint64_t degraded0 = degraded.Value();
   const std::uint64_t cancelled0 = cancelled.Value();
   const std::uint64_t hhop0 = hhop.count();
   const std::uint64_t omfwd0 = omfwd.count();
   const std::uint64_t remedy0 = remedy.count();
+  const std::uint64_t dense0 = dense.count();
   const std::uint64_t total0 = total.count();
+  const std::uint64_t topk_queries0 = topk_queries.Value();
+  const std::uint64_t topk_certified0 = topk_certified.Value();
+  const std::uint64_t topk_fallback0 = topk_fallback.Value();
 
   CancellationToken token;
   ResAccOptions options;
@@ -131,13 +154,22 @@ PhaseCancelOutcome CancelAtPhase(const Graph& graph, const RwrConfig& config,
   control.cancel = &token;
 
   PhaseCancelOutcome outcome;
-  outcome.result = solver.QueryControlled(source, control);
+  if (top_k > 0) {
+    outcome.topk = solver.QueryTopK(source, top_k, control);
+  } else {
+    outcome.result = solver.QueryControlled(source, control);
+  }
   outcome.queries_delta = queries.Value() - queries0;
+  outcome.degraded_delta = degraded.Value() - degraded0;
   outcome.cancelled_delta = cancelled.Value() - cancelled0;
   outcome.hhop_delta = hhop.count() - hhop0;
   outcome.omfwd_delta = omfwd.count() - omfwd0;
   outcome.remedy_delta = remedy.count() - remedy0;
+  outcome.dense_delta = dense.count() - dense0;
   outcome.query_hist_delta = total.count() - total0;
+  outcome.topk_queries_delta = topk_queries.Value() - topk_queries0;
+  outcome.topk_certified_delta = topk_certified.Value() - topk_certified0;
+  outcome.topk_fallback_delta = topk_fallback.Value() - topk_fallback0;
   return outcome;
 }
 
@@ -189,13 +221,68 @@ TEST_P(PhaseCancelTest, PartialResultIsHonestAndMetricsStayConsistent) {
   EXPECT_EQ(outcome.queries_delta, 1u);
   EXPECT_EQ(outcome.query_hist_delta, 1u);
   EXPECT_EQ(outcome.cancelled_delta, 1u);
+  EXPECT_EQ(outcome.degraded_delta, 1u);
   EXPECT_EQ(outcome.hhop_delta, 1u);  // hhop always starts
   EXPECT_EQ(outcome.omfwd_delta, phase == "hhop" ? 0u : 1u);
   EXPECT_EQ(outcome.remedy_delta, phase == "remedy" ? 1u : 0u);
+  EXPECT_EQ(outcome.dense_delta, 0u);
+  EXPECT_EQ(outcome.topk_queries_delta, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPhases, PhaseCancelTest,
                          ::testing::Values("hhop", "omfwd", "remedy"));
+
+// The same cancel landing inside each phase of a top-k query. Top-k
+// queries keep to their own metric series: the solver's query, degraded
+// and cancelled counters and the remedy/dense/query histograms stay
+// untouched, only the push phases' histograms and resacc_topk_queries_total
+// move.
+class TopKPhaseCancelTest : public PhaseCancelTest {};
+
+TEST_P(TopKPhaseCancelTest, PartialBracketIsHonestAndMetricsStayConsistent) {
+  const Graph graph = ChungLuPowerLaw(400, 2400, 2.5, /*seed=*/11);
+  const RwrConfig config = TestConfig(graph);
+  const NodeId source = 3;
+  const std::size_t k = 10;
+  const std::string phase = GetParam();
+
+  const PhaseCancelOutcome outcome =
+      CancelAtPhase(graph, config, source, phase, k);
+  const TopKResult& result = outcome.topk;
+
+  EXPECT_EQ(result.status.code(), StatusCode::kCancelled);
+  EXPECT_FALSE(result.certified);
+  EXPECT_TRUE(result.degraded);
+  EXPECT_GT(result.uncorrected_mass, 0.0);
+  EXPECT_EQ(result.achieved_epsilon,
+            config.epsilon + result.uncorrected_mass / config.delta);
+  ASSERT_EQ(result.entries.size(), k);
+
+  // The bracket of every entry holds against ground truth: a cancel at a
+  // phase start leaves pure reserves, so lower = reserve <= pi and
+  // pi <= reserve + r_sum = upper.
+  GroundTruthCache ground_truth(graph, config);
+  const std::vector<Score>& exact = ground_truth.Get(source);
+  for (const TopKEntry& entry : result.entries) {
+    EXPECT_LE(entry.lower, exact[entry.node] + 1e-9) << "node " << entry.node;
+    EXPECT_GE(entry.upper, exact[entry.node] - 1e-9) << "node " << entry.node;
+  }
+
+  EXPECT_EQ(outcome.hhop_delta, 1u);
+  EXPECT_EQ(outcome.omfwd_delta, phase == "hhop" ? 0u : 1u);
+  EXPECT_EQ(outcome.remedy_delta, 0u);
+  EXPECT_EQ(outcome.dense_delta, 0u);
+  EXPECT_EQ(outcome.queries_delta, 0u);
+  EXPECT_EQ(outcome.query_hist_delta, 0u);
+  EXPECT_EQ(outcome.degraded_delta, 0u);
+  EXPECT_EQ(outcome.cancelled_delta, 0u);
+  EXPECT_EQ(outcome.topk_queries_delta, 1u);
+  EXPECT_EQ(outcome.topk_certified_delta, 0u);
+  EXPECT_EQ(outcome.topk_fallback_delta, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPhases, TopKPhaseCancelTest,
+                         ::testing::Values("hhop", "omfwd", "topk"));
 
 TEST(SolverCancelTest, DeadOnArrivalDeadlineReturnsZeroEstimate) {
   const Graph graph = testing::Figure1Graph();

@@ -251,6 +251,15 @@ TEST(GuaranteeConformanceSliceTest, ResAccOnChungLu) {
   RunConformance(MakeResAcc(), graphs, kSliceTrials, /*nightly_only=*/false);
 }
 
+// Plain ResAcc on the churned Chung-Lu graph: a live graph's snapshot
+// keeps the guarantee in every run, not only in the nightly suite.
+TEST(GuaranteeConformanceSliceTest, ResAccOnChurnedChungLu) {
+  std::vector<ConformanceGraph> graphs = MakeMutatedGraphs();
+  graphs.resize(1);
+  ASSERT_EQ(graphs[0].name, "chung-lu+churn");
+  RunConformance(MakeResAcc(), graphs, kSliceTrials, /*nightly_only=*/false);
+}
+
 TEST(GuaranteeConformanceSliceTest, HybridResAccOnStarHub) {
   std::vector<ConformanceGraph> graphs = MakeHubGraphs();
   graphs.resize(1);
