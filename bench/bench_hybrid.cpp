@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "resacc/core/power_iter.h"
@@ -36,20 +37,28 @@
 namespace resacc {
 namespace {
 
-// Best-of-reps QPS of `per_source` over `sources` (same rationale as
-// bench_serve's ModeQps: the smoke wants the machine's capability, not its
-// scheduling noise).
-template <typename PerSourceFn>
-double ModeQps(const std::vector<NodeId>& sources, int reps,
-               PerSourceFn&& per_source) {
-  double best_seconds = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
+// Best-of-reps {local, hybrid} QPS over `sources`. The sides alternate
+// rep by rep (swapping which goes first) so host drift lands on both
+// alike; best-of gives the machine's capability, not its scheduling
+// noise. Each pass calls its function with (source, rep == 0).
+template <typename LocalFn, typename HybridFn>
+std::pair<double, double> AlternatingQps(const std::vector<NodeId>& sources,
+                                         int reps, LocalFn&& local,
+                                         HybridFn&& hybrid) {
+  double best[2] = {0.0, 0.0};
+  auto time_pass = [&](auto& per_source, int side, int rep) {
     Timer timer;
     for (NodeId s : sources) per_source(s, rep == 0);
     const double seconds = timer.ElapsedSeconds();
-    if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
+    if (rep == 0 || seconds < best[side]) best[side] = seconds;
+  };
+  for (int rep = 0; rep < reps; ++rep) {
+    if (rep % 2 == 1) time_pass(hybrid, 1, rep);
+    time_pass(local, 0, rep);
+    if (rep % 2 == 0) time_pass(hybrid, 1, rep);
   }
-  return static_cast<double>(sources.size()) / best_seconds;
+  const double n = static_cast<double>(sources.size());
+  return {n / best[0], n / best[1]};
 }
 
 int RunHybridRecord(const std::string& json_path) {
@@ -106,19 +115,20 @@ int RunHybridRecord(const std::string& json_path) {
   std::vector<std::vector<Score>> dense_results(hubs.size());
   std::size_t next = 0;
 
-  const double local_hub_qps = ModeQps(
-      hubs, reps, [&](NodeId s, bool) { local_solver.Query(s); });
-  const double hybrid_hub_qps = ModeQps(hubs, reps, [&](NodeId s, bool first) {
-    std::vector<Score> scores = hybrid_solver.Query(s);
-    if (first) {
-      if (hybrid_solver.last_stats().path != SolverPath::kLocal) ++hub_dense;
-      dense_results[next++] = std::move(scores);
-    }
-  });
-  const double local_tail_qps = ModeQps(
-      tails, reps, [&](NodeId s, bool) { local_solver.Query(s); });
-  const double hybrid_tail_qps =
-      ModeQps(tails, reps, [&](NodeId s, bool first) {
+  const auto [local_hub_qps, hybrid_hub_qps] = AlternatingQps(
+      hubs, reps, [&](NodeId s, bool) { local_solver.Query(s); },
+      [&](NodeId s, bool first) {
+        std::vector<Score> scores = hybrid_solver.Query(s);
+        if (first) {
+          if (hybrid_solver.last_stats().path != SolverPath::kLocal) {
+            ++hub_dense;
+          }
+          dense_results[next++] = std::move(scores);
+        }
+      });
+  const auto [local_tail_qps, hybrid_tail_qps] = AlternatingQps(
+      tails, reps, [&](NodeId s, bool) { local_solver.Query(s); },
+      [&](NodeId s, bool first) {
         hybrid_solver.Query(s);
         if (first && hybrid_solver.last_stats().path != SolverPath::kLocal) {
           ++tail_dense;

@@ -1,18 +1,9 @@
-// Serving benchmark: QueryService under a closed-loop Zipfian workload.
+// Solver-mode records: bench_serve runs one of two JSON records and
+// exits; without a flag it prints usage and exits 2. (Serving load —
+// cold vs warm cache, Zipfian sources, top-k mixes — is a
+// bench_workload spec, docs/WORKLOADS.md.)
 //
-// Replays the same skewed source distribution against a cold service
-// (cache disabled) and a warm service (cache + coalescing on) and reports
-// QPS, p50/p95/p99 latency, and the cache hit rate — the quantitative
-// case for the serving layer: with zero index to build (the paper's
-// index-free property), reuse across repeated sources is pure win.
-//
-// Extra env knobs on top of bench_common's:
-//   RESACC_SERVE_QUERIES  queries per phase            (default 256)
-//   RESACC_SERVE_CLIENTS  concurrent client threads    (default 8)
-//   RESACC_SERVE_ZIPF     Zipfian theta                (default 0.99)
-//   RESACC_SERVE_TOPK     top-k mode k; 0 = full-vector (default 0)
-//
-// With `--batch_json=PATH` the binary instead records the batched-vs-serial
+// With `--batch_json=PATH` the binary records the batched-vs-serial
 // solver comparison (BatchSolver against ResAccSolver on the 1M-edge bench
 // graph): QPS at batch sizes {1 (serial), 4, 16}, a per-source bit-identity
 // check, and the per-lane epsilon accounting. The JSON record is the CI
@@ -57,7 +48,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -66,64 +56,12 @@
 #include "resacc/eval/ground_truth.h"
 #include "resacc/eval/sources.h"
 #include "resacc/graph/generators.h"
-#include "resacc/serve/query_service.h"
-#include "resacc/serve/workload.h"
 #include "resacc/util/stats.h"
 
 namespace {
 
 using namespace resacc;
 using namespace resacc::bench;
-
-struct PhaseResult {
-  double seconds = 0.0;
-  ServerStats stats;
-};
-
-PhaseResult RunPhase(const Graph& graph, const RwrConfig& config,
-                     const ServeOptions& options,
-                     const std::vector<NodeId>& sources,
-                     std::size_t num_clients, std::size_t top_k) {
-  QueryService service(graph, config, options);
-  Timer wall;
-  std::vector<std::thread> clients;
-  clients.reserve(num_clients);
-  for (std::size_t c = 0; c < num_clients; ++c) {
-    clients.emplace_back([&, c] {
-      // Client c issues sources {c, c + C, c + 2C, ...}, closed-loop.
-      for (std::size_t i = c; i < sources.size(); i += num_clients) {
-        QueryRequest request;
-        request.source = sources[i];
-        request.top_k = top_k;
-        const QueryResponse response = service.Query(request);
-        if (!response.status.ok()) {
-          std::fprintf(stderr, "[bench_serve] query failed: %s\n",
-                       response.status.ToString().c_str());
-        }
-      }
-    });
-  }
-  for (std::thread& client : clients) client.join();
-  PhaseResult result;
-  result.seconds = wall.ElapsedSeconds();
-  result.stats = service.Snapshot();
-  return result;
-}
-
-void AddRow(TextTable& table, const char* phase, const PhaseResult& r,
-            std::size_t queries) {
-  char qps[32], p50[32], p95[32], p99[32], hit[32], saved[32];
-  std::snprintf(qps, sizeof(qps), "%.1f",
-                static_cast<double>(queries) / r.seconds);
-  std::snprintf(p50, sizeof(p50), "%.2f", r.stats.latency.p50 * 1e3);
-  std::snprintf(p95, sizeof(p95), "%.2f", r.stats.latency.p95 * 1e3);
-  std::snprintf(p99, sizeof(p99), "%.2f", r.stats.latency.p99 * 1e3);
-  std::snprintf(hit, sizeof(hit), "%.1f%%", r.stats.CacheHitRate() * 100);
-  std::snprintf(saved, sizeof(saved), "%llu",
-                static_cast<unsigned long long>(r.stats.completed -
-                                                r.stats.computed));
-  table.AddRow({phase, qps, p50, p95, p99, hit, saved});
-}
 
 // Times `solver.QueryAllChunked(sources, batch_size)` over `reps`
 // repetitions and returns the best rep's QPS (the solvers are
@@ -483,55 +421,7 @@ int main(int argc, char** argv) {
       return RunTopKRecord(argv[i] + sizeof(kTopKFlag) - 1);
     }
   }
-  const BenchEnv env = BenchEnv::FromEnv();
-  PrintPreamble("bench_serve: QueryService under Zipfian load", env);
-
-  const std::size_t queries = static_cast<std::size_t>(
-      GetEnvInt("RESACC_SERVE_QUERIES", 256));
-  const std::size_t clients = static_cast<std::size_t>(
-      GetEnvInt("RESACC_SERVE_CLIENTS", 8));
-  const double theta = GetEnvDouble("RESACC_SERVE_ZIPF", 0.99);
-  // top_k > 0 now selects the serve layer's first-class top-k mode
-  // (QueryRequest::top_k), so the default stays a full-vector bench.
-  const std::size_t top_k =
-      static_cast<std::size_t>(GetEnvInt("RESACC_SERVE_TOPK", 0));
-
-  const auto datasets = LoadDatasets({"dblp-sim"}, env);
-  const Graph& graph = datasets[0].graph;
-  const RwrConfig config = BenchConfig(graph, env.seed);
-
-  ZipfianSources workload(graph.num_nodes(), theta, env.seed ^ 0x21Af);
-  Rng rng(env.seed);
-  const std::vector<NodeId> sources = workload.Sample(queries, rng);
-
-  std::printf("%s: %zu queries, %zu clients, zipf theta=%.2f, top-%zu\n\n",
-              DatasetLabel(datasets[0]).c_str(), queries, clients, theta,
-              top_k);
-
-  ServeOptions cold;
-  cold.num_workers = ThreadPool::DefaultThreads();
-  cold.cache_bytes = 0;
-  cold.coalesce = false;
-
-  ServeOptions warm = cold;
-  warm.cache_bytes = static_cast<std::size_t>(256) << 20;
-  warm.coalesce = true;
-
-  const PhaseResult cold_result =
-      RunPhase(graph, config, cold, sources, clients, top_k);
-  const PhaseResult warm_result =
-      RunPhase(graph, config, warm, sources, clients, top_k);
-
-  TextTable table(
-      {"phase", "qps", "p50 ms", "p95 ms", "p99 ms", "hit rate", "saved"});
-  AddRow(table, "cold (no cache)", cold_result, queries);
-  AddRow(table, "warm (cache+coalesce)", warm_result, queries);
-  table.Print(stdout);
-
-  std::printf("\nwarm speedup: %.2fx  (saved = completed - computed: "
-              "queries answered without running the solver)\n",
-              cold_result.seconds / warm_result.seconds);
-  std::printf("\nserver stats (warm phase):\n%s\n",
-              warm_result.stats.ToString().c_str());
-  return 0;
+  std::fprintf(stderr,
+               "usage: bench_serve --batch_json=PATH | --topk_json=PATH\n");
+  return 2;
 }

@@ -22,10 +22,12 @@
 // deterministic merged stream over a spawned resacc_serve's line protocol
 // (tenant/deadline tokens included), measuring the full pipe instead of
 // the in-process API. Give the command --tenants=... matching the spec,
-// or every op lands on the default lane.
+// or every op lands on the default lane. A reply that never arrives exits
+// 1; a `RESACC_FAULTS=1 ...` prefix on the command arms the server's
+// fault injection (util/fault_injection.h).
 //
-// Without --spec, a built-in 4-tenant smoke spec runs (the same mix as
-// bench/workload/smoke.spec).
+// --spec defaults to bench/workload/smoke.spec, relative to the working
+// directory like --bounds.
 
 #include <cstdio>
 #include <cstring>
@@ -45,71 +47,20 @@ namespace {
 
 using namespace resacc;
 
-// Mirrors bench/workload/smoke.spec so a bare `bench_workload` run needs
-// no files. Two closed-loop tenants at 4:1 weight carry the fairness
-// assertion; an open-loop tenant exercises pacing; "churn" mixes all five
-// classes including mutations.
-const char kDefaultSpec[] = R"(duration_seconds 10
-seed 42
-source zipfian 0.99
-top_k 10
-deadline_ms 40
-
-tenant gold
-  weight 4
-  concurrency 8
-  class full 0.5
-  class topk 0.5
-end
-
-tenant bronze
-  weight 1
-  concurrency 8
-  class full 0.5
-  class topk 0.5
-end
-
-tenant paced
-  weight 2
-  rate 50
-  class full 0.4
-  class topk 0.2
-  class deadline 0.2
-  class degraded 0.2
-end
-
-tenant churn
-  weight 1
-  concurrency 2
-  class full 0.3
-  class topk 0.2
-  class deadline 0.1
-  class degraded 0.1
-  class mutation 0.3
-end
-)";
-
 // Protocol mode: replay the merged deterministic stream through a spawned
 // resacc_serve with a pipelining window (RunProtocolWorkload does the
-// accounting, shared with loadgen --spec).
+// accounting).
 int RunProtocolMode(const WorkloadSpec& spec, const std::string& command,
                     WorkloadReport& report) {
   ProtocolClient client;
-  const Status status = client.Spawn(command);
+  Status status = client.Spawn(command);
+  const StatusOr<NodeId> nodes =
+      status.ok() ? client.Handshake() : StatusOr<NodeId>(status);
+  status = nodes.ok() ? RunProtocolWorkload(spec, client, nodes.value(),
+                                            /*window=*/16, &report)
+                      : nodes.status();
   if (!status.ok()) {
     std::fprintf(stderr, "bench_workload: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  const StatusOr<NodeId> nodes = client.Handshake();
-  if (!nodes.ok()) {
-    std::fprintf(stderr, "bench_workload: %s\n",
-                 nodes.status().ToString().c_str());
-    return 1;
-  }
-  const Status run =
-      RunProtocolWorkload(spec, client, nodes.value(), /*window=*/16, &report);
-  if (!run.ok()) {
-    std::fprintf(stderr, "bench_workload: %s\n", run.ToString().c_str());
     return 1;
   }
   client.Shutdown();
@@ -121,10 +72,9 @@ int RunProtocolMode(const WorkloadSpec& spec, const std::string& command,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
 
-  const std::string spec_path = args.GetString("spec", "");
-  StatusOr<WorkloadSpec> spec =
-      spec_path.empty() ? WorkloadSpec::Parse(kDefaultSpec, "<built-in>")
-                        : WorkloadSpec::ParseFile(spec_path);
+  const std::string spec_path =
+      args.GetString("spec", "bench/workload/smoke.spec");
+  StatusOr<WorkloadSpec> spec = WorkloadSpec::ParseFile(spec_path);
   if (!spec.ok()) {
     std::fprintf(stderr, "bench_workload: %s\n",
                  spec.status().ToString().c_str());
@@ -132,7 +82,7 @@ int main(int argc, char** argv) {
   }
 
   WorkloadReport report;
-  report.spec_origin = spec_path.empty() ? "<built-in>" : spec_path;
+  report.spec_origin = spec_path;
 
   const std::string serve_cmd = args.GetString("serve-cmd", "");
   if (!serve_cmd.empty()) {

@@ -142,9 +142,7 @@ ControlledQueryResult ResAccPipeline::Finish(
     if (serial) {
       stats->dense = dense.stats;
       stats->dense_seconds = phase.ElapsedSeconds();
-      if (topk == nullptr) {
-        SolverMetrics::Get().dense.Record(stats->dense_seconds);
-      }
+      SolverMetrics::Get().dense.Record(stats->dense_seconds);
     }
     if (dense.stats.cancelled) result.status = cancel->StopStatus();
     if (topk != nullptr) {
@@ -228,18 +226,7 @@ std::vector<Score> ResAccSolver::Query(NodeId source) {
 ControlledQueryResult ResAccSolver::QueryControlled(
     NodeId source, const QueryControl& control) {
   RESACC_SPAN("query");
-  ControlledQueryResult result =
-      RunQuery(source, /*top_k=*/0, control.cancel, /*topk=*/nullptr);
-  // Every return path — complete, degraded or cancelled — goes through
-  // here, so queries_total and the query histogram stay consistent with
-  // the per-phase histograms after an abort (each phase records iff it
-  // started).
-  SolverMetrics& metrics = SolverMetrics::Get();
-  if (result.degraded) metrics.degraded.Increment();
-  if (!result.status.ok()) metrics.cancelled.Increment();
-  metrics.queries.Increment();
-  metrics.total.Record(last_stats_.total_seconds);
-  return result;
+  return RunQuery(source, /*top_k=*/0, control.cancel, /*topk=*/nullptr);
 }
 
 TopKResult ResAccSolver::QueryTopK(NodeId source, std::size_t k,
@@ -270,6 +257,15 @@ ControlledQueryResult ResAccSolver::RunQuery(NodeId source, std::size_t top_k,
       pipeline_.Finish(source, top_k, cancel, last_stats_.path, push_status,
                        state_, topk, &last_stats_);
   last_stats_.total_seconds = total.ElapsedSeconds();
+  // Every query of either mode, complete, degraded or cancelled, is
+  // counted here, so queries_total and the query histogram stay
+  // consistent with the per-phase histograms after an abort (each phase
+  // records iff it started).
+  SolverMetrics& metrics = SolverMetrics::Get();
+  if (result.degraded) metrics.degraded.Increment();
+  if (!result.status.ok()) metrics.cancelled.Increment();
+  metrics.queries.Increment();
+  metrics.total.Record(last_stats_.total_seconds);
   return result;
 }
 

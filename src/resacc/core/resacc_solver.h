@@ -126,8 +126,8 @@ class ResAccPipeline {
   // runs SolveTopKFromState, and a full query runs the remedy walks. A
   // top-k query's result carries only its tags; `*topk` gets the entries.
   // A non-null `stats` marks a serial query: it then fires the phase hooks,
-  // opens the phase spans, records the phase timings and (full queries)
-  // the solver's phase histograms. `state` is consumed.
+  // opens the phase spans, records the phase timings and the solver's
+  // dense and remedy phase histograms. `state` is consumed.
   ControlledQueryResult Finish(NodeId source, std::size_t top_k,
                                const CancellationToken* cancel,
                                SolverPath path, const Status& push_status,
@@ -183,7 +183,8 @@ class ResAccSolver : public SsrwrAlgorithm {
 
  private:
   // The body QueryControlled and QueryTopK share: reset, the
-  // dead-on-arrival check, phases 1-2, then the pipeline's finish. A
+  // dead-on-arrival check, phases 1-2, the pipeline's finish, then the
+  // solver's query/degraded/cancelled counters and query histogram. A
   // non-null `topk` makes it a top-k query for k = `top_k`.
   ControlledQueryResult RunQuery(NodeId source, std::size_t top_k,
                                  const CancellationToken* cancel,

@@ -58,7 +58,8 @@ struct ServerStats {
   // the demo binaries.
   std::string ToString() const;
 
-  // Single-line `key=value` rendering for log scraping / loadgen.
+  // Single-line `key=value` rendering for log scraping and the `stats`
+  // protocol reply.
   std::string ToLine() const;
 };
 

@@ -8,8 +8,7 @@
 namespace resacc {
 
 ZipfianSources::ZipfianSources(NodeId num_nodes, double theta,
-                               std::uint64_t seed)
-    : theta_(theta) {
+                               std::uint64_t seed) {
   RESACC_CHECK(num_nodes >= 1);
   RESACC_CHECK(theta >= 0.0);
 
@@ -38,14 +37,6 @@ NodeId ZipfianSources::Next(Rng& rng) const {
       it == cdf_.end() ? cdf_.size() - 1
                        : static_cast<std::size_t>(it - cdf_.begin());
   return permutation_[rank];
-}
-
-std::vector<NodeId> ZipfianSources::Sample(std::size_t count,
-                                           Rng& rng) const {
-  std::vector<NodeId> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(Next(rng));
-  return out;
 }
 
 }  // namespace resacc

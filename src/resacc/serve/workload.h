@@ -23,16 +23,7 @@ class ZipfianSources {
   // rng state, so workloads are replayable).
   NodeId Next(Rng& rng) const;
 
-  // Convenience: a replayable batch of `count` sources.
-  std::vector<NodeId> Sample(std::size_t count, Rng& rng) const;
-
-  NodeId num_nodes() const {
-    return static_cast<NodeId>(permutation_.size());
-  }
-  double theta() const { return theta_; }
-
  private:
-  double theta_;
   std::vector<double> cdf_;        // cdf_[r] = P(rank <= r+1)
   std::vector<NodeId> permutation_;  // rank -> node id
 };

@@ -48,7 +48,8 @@ Registry& GetRegistry() {
 }
 
 // Runs InitFromEnv before main() so RESACC_FAULTS=1 arms spawned tools
-// (loadgen --chaos relies on this) without any code change.
+// (a `RESACC_FAULTS=1 ...` prefix in bench_workload --serve-cmd relies on
+// this) without any code change.
 const bool kEnvInitDone = [] {
   FaultInjection::InitFromEnv();
   return true;

@@ -241,56 +241,115 @@ Status CheckBoundsFile(const WorkloadReport& report, const std::string& path) {
   return CheckBounds(report, buffer.str(), path);
 }
 
+WorkloadTally::WorkloadTally(const WorkloadSpec& spec)
+    : seed_(spec.seed),
+      cells_(std::make_unique<std::array<Cell, kNumOpClasses>[]>(
+          spec.tenants.size())),
+      computed_ok_(spec.tenants.size(), 0) {
+  for (const TenantSpec& tenant : spec.tenants) {
+    tenant_names_.push_back(tenant.name);
+  }
+}
+
+void WorkloadTally::CountSent(std::size_t tenant, OpClass cls) {
+  ++cells_[tenant][static_cast<std::size_t>(cls)].counts.sent;
+}
+
+void WorkloadTally::Record(std::size_t tenant, OpClass cls,
+                           const OpOutcome& outcome) {
+  Cell& cell = cells_[tenant][static_cast<std::size_t>(cls)];
+  OpStats& counts = cell.counts;
+  switch (outcome.kind) {
+    case OpOutcome::Kind::kRejected:
+      ++counts.rejected;
+      return;
+    case OpOutcome::Kind::kDeadlineExceeded:
+      ++counts.deadline_exceeded;
+      return;
+    case OpOutcome::Kind::kError:
+      ++counts.errors;
+      return;
+    case OpOutcome::Kind::kOk:
+      break;
+  }
+  ++counts.ok;
+  if (outcome.degraded) ++counts.degraded;
+  if (outcome.stale) ++counts.stale;
+  if (outcome.cache_hit) ++counts.cache_hits;
+  if (outcome.certified) ++counts.certified;
+  cell.latency.Record(outcome.latency_seconds);
+  class_latency_[static_cast<std::size_t>(cls)].Record(
+      outcome.latency_seconds);
+  if (!outcome.cache_hit && !outcome.coalesced && cls != OpClass::kMutation) {
+    ++computed_ok_[tenant];
+  }
+}
+
+WorkloadReport WorkloadTally::Report(double wall_seconds) const {
+  static constexpr std::uint64_t OpStats::*kCounts[] = {
+      &OpStats::sent,     &OpStats::ok,    &OpStats::rejected,
+      &OpStats::deadline_exceeded,         &OpStats::errors,
+      &OpStats::degraded, &OpStats::stale, &OpStats::cache_hits,
+      &OpStats::certified};
+  WorkloadReport report;
+  report.wall_seconds = wall_seconds;
+  report.seed = seed_;
+  report.tenant_names = tenant_names_;
+  report.tenants.resize(tenant_names_.size());
+  report.computed_ok = computed_ok_;
+  for (std::size_t t = 0; t < tenant_names_.size(); ++t) {
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+      OpStats& s = report.tenants[t][c];
+      s = cells_[t][c].counts;
+      s.latency = cells_[t][c].latency.TakeSnapshot();
+      for (const auto count : kCounts) report.classes[c].*count += s.*count;
+    }
+  }
+  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+    report.classes[c].latency = class_latency_[c].TakeSnapshot();
+  }
+  return report;
+}
+
 WorkloadDriver::WorkloadDriver(const WorkloadSpec& spec, QueryService* service,
                                MutableGraphView* view)
-    : spec_(spec), service_(service), view_(view) {
+    : spec_(spec), service_(service), view_(view), tally_(spec) {
   RESACC_CHECK(service_ != nullptr);
   RESACC_CHECK(!spec_.tenants.empty());
   num_nodes_ = service_->graph().num_nodes();
-  cells_ = std::make_unique<std::array<Cell, kNumOpClasses>[]>(
-      spec_.tenants.size());
-  computed_ok_.assign(spec_.tenants.size(), 0);
 }
 
 void WorkloadDriver::RecordResponse(std::size_t tenant_index,
                                     const WorkloadOp& op,
                                     const QueryResponse& response) {
-  Cell& cell = cells_[tenant_index][static_cast<std::size_t>(op.cls)];
-  if (response.status.ok()) {
-    ++cell.ok;
-    if (response.degraded) ++cell.degraded;
-    if (response.stale) ++cell.stale;
-    if (response.cache_hit) ++cell.cache_hits;
-    if (op.cls == OpClass::kTopK && response.topk != nullptr &&
-        response.top.size() >= op.top_k) {
-      ++cell.certified;
-    }
-    cell.latency.Record(response.latency_seconds);
-    class_latency_[static_cast<std::size_t>(op.cls)].Record(
-        response.latency_seconds);
-    if (!response.cache_hit && !response.coalesced) {
-      ++computed_ok_[tenant_index];
-    }
-  } else if (response.status.code() == StatusCode::kResourceExhausted) {
-    ++cell.rejected;
+  OpOutcome outcome;
+  if (response.status.code() == StatusCode::kResourceExhausted) {
+    outcome.kind = OpOutcome::Kind::kRejected;
   } else if (response.status.code() == StatusCode::kDeadlineExceeded) {
-    ++cell.deadline_exceeded;
-  } else {
-    ++cell.errors;
+    outcome.kind = OpOutcome::Kind::kDeadlineExceeded;
+  } else if (!response.status.ok()) {
+    outcome.kind = OpOutcome::Kind::kError;
   }
+  outcome.degraded = response.degraded;
+  outcome.stale = response.stale;
+  outcome.cache_hit = response.cache_hit;
+  outcome.coalesced = response.coalesced;
+  outcome.certified = op.cls == OpClass::kTopK && response.topk != nullptr &&
+                      response.top.size() >= op.top_k;
+  outcome.latency_seconds = response.latency_seconds;
+  tally_.Record(tenant_index, op.cls, outcome);
 }
 
 void WorkloadDriver::ApplyMutation(std::size_t tenant_index,
                                    const WorkloadOp& op) {
   if (view_ == nullptr) return;  // query-only harness: mutations skipped
-  Cell& cell =
-      cells_[tenant_index][static_cast<std::size_t>(OpClass::kMutation)];
-  ++cell.sent;
+  tally_.CountSent(tenant_index, OpClass::kMutation);
   Timer timer;
   GraphDelta delta;
   const Status status =
       op.remove ? view_->RemoveEdge(op.source, op.target, &delta)
                 : view_->AddEdge(op.source, op.target, &delta);
+  OpOutcome outcome;
   if (status.ok()) {
     service_->UpdateGraph(view_->Snapshot(), delta);
   } else if (status.code() != StatusCode::kAlreadyExists &&
@@ -298,13 +357,10 @@ void WorkloadDriver::ApplyMutation(std::size_t tenant_index,
     // Validated no-ops (duplicate add against a pre-existing edge, remove
     // of an edge another tenant already took) are fine; anything else is a
     // real failure.
-    ++cell.errors;
-    return;
+    outcome.kind = OpOutcome::Kind::kError;
   }
-  const double seconds = timer.ElapsedSeconds();
-  ++cell.ok;
-  cell.latency.Record(seconds);
-  class_latency_[static_cast<std::size_t>(OpClass::kMutation)].Record(seconds);
+  outcome.latency_seconds = timer.ElapsedSeconds();
+  tally_.Record(tenant_index, OpClass::kMutation, outcome);
 }
 
 void WorkloadDriver::TenantLoop(std::size_t tenant_index) {
@@ -333,8 +389,7 @@ void WorkloadDriver::TenantLoop(std::size_t tenant_index) {
       ApplyMutation(tenant_index, op);
       return;
     }
-    Cell& cell = cells_[tenant_index][static_cast<std::size_t>(op.cls)];
-    ++cell.sent;
+    tally_.CountSent(tenant_index, op.cls);
     QueryRequest request;
     request.source = op.source;
     request.top_k = op.top_k;
@@ -380,45 +435,7 @@ WorkloadReport WorkloadDriver::Run() {
     threads.emplace_back([this, i] { TenantLoop(i); });
   }
   for (std::thread& t : threads) t.join();
-
-  WorkloadReport report;
-  report.spec_origin = "";
-  report.wall_seconds = wall.ElapsedSeconds();
-  report.seed = spec_.seed;
-  report.tenants.resize(spec_.tenants.size());
-  report.computed_ok = computed_ok_;
-  for (std::size_t t = 0; t < spec_.tenants.size(); ++t) {
-    report.tenant_names.push_back(spec_.tenants[t].name);
-    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-      const Cell& cell = cells_[t][c];
-      OpStats& s = report.tenants[t][c];
-      s.sent = cell.sent;
-      s.ok = cell.ok;
-      s.rejected = cell.rejected;
-      s.deadline_exceeded = cell.deadline_exceeded;
-      s.errors = cell.errors;
-      s.degraded = cell.degraded;
-      s.stale = cell.stale;
-      s.cache_hits = cell.cache_hits;
-      s.certified = cell.certified;
-      s.latency = cell.latency.TakeSnapshot();
-
-      OpStats& agg = report.classes[c];
-      agg.sent += cell.sent;
-      agg.ok += cell.ok;
-      agg.rejected += cell.rejected;
-      agg.deadline_exceeded += cell.deadline_exceeded;
-      agg.errors += cell.errors;
-      agg.degraded += cell.degraded;
-      agg.stale += cell.stale;
-      agg.cache_hits += cell.cache_hits;
-      agg.certified += cell.certified;
-    }
-  }
-  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    report.classes[c].latency = class_latency_[c].TakeSnapshot();
-  }
-  return report;
+  return tally_.Report(wall.ElapsedSeconds());
 }
 
 }  // namespace resacc

@@ -76,6 +76,47 @@ Status CheckBounds(const WorkloadReport& report, const std::string& text,
                    const std::string& origin = "<bounds>");
 Status CheckBoundsFile(const WorkloadReport& report, const std::string& path);
 
+// How one op ended, as a driver observed it.
+struct OpOutcome {
+  enum class Kind { kOk, kRejected, kDeadlineExceeded, kError };
+  Kind kind = Kind::kOk;
+  // Annotations of an OK op.
+  bool degraded = false;
+  bool stale = false;
+  bool cache_hit = false;
+  bool coalesced = false;
+  bool certified = false;
+  double latency_seconds = 0.0;
+};
+
+// Per-(tenant, class) accounting shared by both drivers, the in-process
+// WorkloadDriver and the protocol replay (RunProtocolWorkload). Calls for
+// one tenant come from one thread at a time; different tenants may record
+// concurrently (the class histograms are atomic).
+class WorkloadTally {
+ public:
+  explicit WorkloadTally(const WorkloadSpec& spec);
+
+  void CountSent(std::size_t tenant, OpClass cls);
+  void Record(std::size_t tenant, OpClass cls, const OpOutcome& outcome);
+  // The report of a run that took `wall_seconds`; spec_origin is empty.
+  WorkloadReport Report(double wall_seconds) const;
+
+ private:
+  struct Cell {
+    OpStats counts;  // the latency snapshot is taken at Report
+    LatencyHistogram latency;
+  };
+
+  std::uint64_t seed_;
+  std::vector<std::string> tenant_names_;
+  // [tenant][class]; unique_ptr array because Cell's histogram holds
+  // atomics and cannot be moved, which std::vector would require.
+  std::unique_ptr<std::array<Cell, kNumOpClasses>[]> cells_;
+  std::array<LatencyHistogram, kNumOpClasses> class_latency_;
+  std::vector<std::uint64_t> computed_ok_;  // per tenant
+};
+
 // Multi-tenant closed+open-loop driver over an in-process QueryService.
 // One thread per tenant: open-loop tenants (rate > 0) pace submissions on
 // the wall clock and park futures; closed-loop tenants keep `concurrency`
@@ -96,21 +137,6 @@ class WorkloadDriver {
   WorkloadReport Run();
 
  private:
-  // Per-(tenant, class) accumulation. Counts are only written by the
-  // owning tenant's thread; the histogram is internally atomic.
-  struct Cell {
-    std::uint64_t sent = 0;
-    std::uint64_t ok = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t deadline_exceeded = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t stale = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t certified = 0;
-    LatencyHistogram latency;
-  };
-
   void TenantLoop(std::size_t tenant_index);
   void RecordResponse(std::size_t tenant_index, const WorkloadOp& op,
                       const QueryResponse& response);
@@ -120,14 +146,7 @@ class WorkloadDriver {
   QueryService* const service_;
   MutableGraphView* const view_;
   NodeId num_nodes_;
-
-  // [tenant][class]; unique_ptr array because Cell's histogram holds
-  // atomics and cannot be moved, which std::vector would require.
-  std::unique_ptr<std::array<Cell, kNumOpClasses>[]> cells_;
-  // Class aggregates are shared across tenant threads; LatencyHistogram
-  // records are atomic, counters are summed from cells at the end.
-  std::array<LatencyHistogram, kNumOpClasses> class_latency_;
-  std::vector<std::uint64_t> computed_ok_;  // per tenant
+  WorkloadTally tally_;
 };
 
 }  // namespace resacc

@@ -81,7 +81,7 @@ class TenantOpStream {
 // Interleaves all tenants' streams into one deterministic total order,
 // weighted by each tenant's offered load (rate for open-loop tenants,
 // concurrency for closed-loop ones). Used by single-threaded drivers
-// (loadgen --spec, protocol mode) where ops flow down one connection; the
+// (bench_workload --serve-cmd) where ops flow down one connection; the
 // in-process driver instead runs one TenantOpStream per tenant thread.
 class MergedOpStream {
  public:

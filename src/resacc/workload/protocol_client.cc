@@ -3,27 +3,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <array>
 #include <cstdio>
-#include <cstring>
 #include <deque>
-#include <vector>
+#include <utility>
 
-#include "resacc/util/histogram.h"
 #include "resacc/util/timer.h"
 
 namespace resacc {
-namespace {
-
-// "key=value" integer lookup inside a response line; `fallback` when the
-// key is absent.
-double FindValue(const std::string& line, const char* key, double fallback) {
-  const char* hit = std::strstr(line.c_str(), key);
-  if (hit == nullptr) return fallback;
-  return std::atof(hit + std::strlen(key));
-}
-
-}  // namespace
 
 ProtocolClient::~ProtocolClient() { Shutdown(); }
 
@@ -56,69 +42,45 @@ Status ProtocolClient::Spawn(const std::string& command) {
 }
 
 StatusOr<NodeId> ProtocolClient::Handshake() {
-  SendLine("info");
+  ProtocolRequest info;
+  info.verb = ProtocolVerb::kInfo;
+  SendLine(FormatRequest(info));
   Flush();
   std::string line;
-  unsigned long nodes = 0;
-  if (!ReadLine(line) ||
-      std::sscanf(line.c_str(), "info nodes=%lu", &nodes) != 1 || nodes == 0) {
+  if (!ReadLine(line)) return Status::Internal("bad handshake: no reply");
+  const StatusOr<ProtocolInfo> parsed = ParseInfoResponse(line);
+  if (!parsed.ok() || parsed.value().nodes == 0) {
     return Status::Internal("bad handshake: '" + line + "'");
   }
-  return static_cast<NodeId>(nodes);
+  return parsed.value().nodes;
 }
 
 std::string ProtocolClient::FormatOp(const WorkloadOp& op,
                                      const std::string& tenant) {
-  char buf[160];
+  ProtocolRequest request;
+  request.source = op.source;
   switch (op.cls) {
     case OpClass::kMutation:
-      std::snprintf(buf, sizeof(buf), "%s %u %u",
-                    op.remove ? "rmedge" : "addedge", op.source, op.target);
-      return buf;
+      request.verb =
+          op.remove ? ProtocolVerb::kRmEdge : ProtocolVerb::kAddEdge;
+      request.target = op.target;
+      return FormatRequest(request);
     case OpClass::kTopK:
-      std::snprintf(buf, sizeof(buf), "topk %u %zu", op.source,
-                    op.top_k > 0 ? op.top_k : std::size_t{10});
+      request.verb = ProtocolVerb::kTopK;
+      if (op.top_k > 0) request.top_k = op.top_k;
       break;
     case OpClass::kFull:
-      std::snprintf(buf, sizeof(buf), "query %u 10", op.source);
+      request.verb = ProtocolVerb::kQuery;
       break;
     case OpClass::kDeadline:
-      std::snprintf(buf, sizeof(buf), "query %u 10 deadline_ms=%.3f",
-                    op.source, op.deadline_seconds * 1e3);
-      break;
     case OpClass::kDegraded:
-      std::snprintf(buf, sizeof(buf),
-                    "query %u 10 deadline_ms=%.3f degraded=1", op.source,
-                    op.deadline_seconds * 1e3);
+      request.verb = ProtocolVerb::kQuery;
+      request.deadline_ms = op.deadline_seconds * 1e3;
+      request.degraded = op.cls == OpClass::kDegraded;
       break;
   }
-  std::string line = buf;
-  if (!tenant.empty()) line += " tenant=" + tenant;
-  return line;
-}
-
-ProtocolResponse ProtocolClient::ParseResponse(const std::string& line) {
-  ProtocolResponse response;
-  response.raw = line;
-  response.ok = line.rfind("ok ", 0) == 0;
-  if (!response.ok) {
-    // Classify the documented non-OK outcomes so replay accounting
-    // matches the in-process driver: expiry and backpressure are
-    // expected load-dependent behavior, not errors.
-    response.deadline_expired =
-        line.find("DEADLINE_EXCEEDED") != std::string::npos;
-    response.rejected =
-        line.find("RESOURCE_EXHAUSTED") != std::string::npos;
-    return response;
-  }
-  response.hit = FindValue(line, "hit=", 0.0) > 0.5;
-  response.coalesced = FindValue(line, "coalesced=", 0.0) > 0.5;
-  response.degraded = FindValue(line, "degraded=", 0.0) > 0.5;
-  response.stale = FindValue(line, "stale=", 0.0) > 0.5;
-  response.certified = FindValue(line, "certified=", 0.0) > 0.5;
-  response.k = static_cast<std::size_t>(FindValue(line, "k=", 0.0));
-  response.latency_seconds = FindValue(line, "us=", 0.0) / 1e6;
-  return response;
+  request.tenant = tenant;
+  return FormatRequest(request);
 }
 
 void ProtocolClient::SendLine(const std::string& line) {
@@ -128,20 +90,16 @@ void ProtocolClient::SendLine(const std::string& line) {
 void ProtocolClient::Flush() { std::fflush(to_server_); }
 
 bool ProtocolClient::ReadLine(std::string& out) {
-  char buf[4096];
-  if (std::fgets(buf, sizeof(buf), from_server_) == nullptr) return false;
-  out.assign(buf);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return true;
+  return ReadProtocolLine(from_server_, out, out.max_size()) !=
+         LineRead::kEnd;
 }
 
 int ProtocolClient::Shutdown() {
   if (pid_ < 0) return 0;
   if (to_server_ != nullptr) {
-    std::fprintf(to_server_, "quit\n");
-    std::fflush(to_server_);
+    ProtocolRequest quit;
+    quit.verb = ProtocolVerb::kQuit;
+    SendLine(FormatRequest(quit));
     fclose(to_server_);
     to_server_ = nullptr;
   }
@@ -165,17 +123,7 @@ Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
                            WorkloadReport* report) {
   MergedOpStream stream(spec, num_nodes);
   if (window == 0) window = 1;
-
-  struct Cell {
-    std::uint64_t sent = 0, ok = 0, errors = 0, rejected = 0,
-                  deadline_exceeded = 0, degraded = 0, stale = 0,
-                  cache_hits = 0, certified = 0;
-    LatencyHistogram latency;
-  };
-  // deque, not vector: Cell's histogram holds atomics and cannot move.
-  std::deque<std::array<Cell, kNumOpClasses>> cells(spec.tenants.size());
-  std::array<LatencyHistogram, kNumOpClasses> class_latency;
-  std::vector<std::uint64_t> computed_ok(spec.tenants.size(), 0);
+  WorkloadTally tally(spec);
 
   struct InFlight {
     WorkloadOp op;
@@ -186,33 +134,24 @@ Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
 
   auto settle_front = [&]() -> bool {
     if (!client.ReadLine(line)) return false;
-    const InFlight& sent_op = in_flight.front();
-    const ProtocolResponse resp = ProtocolClient::ParseResponse(line);
-    const std::size_t c = static_cast<std::size_t>(sent_op.op.cls);
-    Cell& cell = cells[sent_op.op.tenant][c];
-    if (resp.ok) {
-      ++cell.ok;
-      if (resp.degraded) ++cell.degraded;
-      if (resp.stale) ++cell.stale;
-      if (resp.hit) ++cell.cache_hits;
-      if (sent_op.op.cls == OpClass::kTopK && resp.k >= sent_op.op.top_k) {
-        ++cell.certified;
-      }
-      // Client-observed wall latency; the us= field would miss pipe time.
-      const double seconds = sent_op.timer.ElapsedSeconds();
-      cell.latency.Record(seconds);
-      class_latency[c].Record(seconds);
-      if (!resp.hit && !resp.coalesced &&
-          sent_op.op.cls != OpClass::kMutation) {
-        ++computed_ok[sent_op.op.tenant];
-      }
-    } else if (resp.deadline_expired) {
-      ++cell.deadline_exceeded;
+    const WorkloadOp& op = in_flight.front().op;
+    const ProtocolResponse resp = ParseResponse(line);
+    OpOutcome outcome;
+    if (resp.deadline_expired) {
+      outcome.kind = OpOutcome::Kind::kDeadlineExceeded;
     } else if (resp.rejected) {
-      ++cell.rejected;
-    } else {
-      ++cell.errors;
+      outcome.kind = OpOutcome::Kind::kRejected;
+    } else if (!resp.ok) {
+      outcome.kind = OpOutcome::Kind::kError;
     }
+    outcome.degraded = resp.degraded;
+    outcome.stale = resp.stale;
+    outcome.cache_hit = resp.hit;
+    outcome.coalesced = resp.coalesced;
+    outcome.certified = op.cls == OpClass::kTopK && resp.k >= op.top_k;
+    // Client-observed wall latency; the us= field would miss pipe time.
+    outcome.latency_seconds = in_flight.front().timer.ElapsedSeconds();
+    tally.Record(op.tenant, op.cls, outcome);
     in_flight.pop_front();
     return true;
   };
@@ -223,7 +162,7 @@ Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
       WorkloadOp op = stream.Next();
       client.SendLine(
           ProtocolClient::FormatOp(op, spec.tenants[op.tenant].name));
-      ++cells[op.tenant][static_cast<std::size_t>(op.cls)].sent;
+      tally.CountSent(op.tenant, op.cls);
       in_flight.push_back(InFlight{op, Timer()});
     }
     client.Flush();
@@ -237,43 +176,9 @@ Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
       return Status::Internal("server closed during drain");
     }
   }
-  report->wall_seconds = wall.ElapsedSeconds();
-
-  report->seed = spec.seed;
-  report->classes = {};
-  report->tenant_names.clear();
-  report->tenants.assign(spec.tenants.size(), {});
-  report->computed_ok = computed_ok;
-  for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
-    report->tenant_names.push_back(spec.tenants[t].name);
-    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-      Cell& cell = cells[t][c];
-      OpStats& s = report->tenants[t][c];
-      s.sent = cell.sent;
-      s.ok = cell.ok;
-      s.errors = cell.errors;
-      s.rejected = cell.rejected;
-      s.deadline_exceeded = cell.deadline_exceeded;
-      s.degraded = cell.degraded;
-      s.stale = cell.stale;
-      s.cache_hits = cell.cache_hits;
-      s.certified = cell.certified;
-      s.latency = cell.latency.TakeSnapshot();
-      OpStats& agg = report->classes[c];
-      agg.sent += s.sent;
-      agg.ok += s.ok;
-      agg.errors += s.errors;
-      agg.rejected += s.rejected;
-      agg.deadline_exceeded += s.deadline_exceeded;
-      agg.degraded += s.degraded;
-      agg.stale += s.stale;
-      agg.cache_hits += s.cache_hits;
-      agg.certified += s.certified;
-    }
-  }
-  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    report->classes[c].latency = class_latency[c].TakeSnapshot();
-  }
+  WorkloadReport measured = tally.Report(wall.ElapsedSeconds());
+  measured.spec_origin = std::move(report->spec_origin);
+  *report = std::move(measured);
   return Status::Ok();
 }
 

@@ -6,6 +6,7 @@
 
 #include <sys/types.h>
 
+#include "resacc/serve/protocol.h"
 #include "resacc/util/status.h"
 #include "resacc/util/types.h"
 #include "resacc/workload/driver.h"
@@ -13,30 +14,10 @@
 
 namespace resacc {
 
-// The fields a workload client needs out of a resacc_serve response line;
-// `raw` keeps the whole line for anything else.
-struct ProtocolResponse {
-  bool ok = false;
-  bool hit = false;
-  bool coalesced = false;
-  bool degraded = false;
-  bool stale = false;
-  bool certified = false;
-  // Non-OK classification (docs/QUERY_MODES.md outcomes): expiry and
-  // backpressure are load-dependent behavior; anything else non-OK is a
-  // genuine error.
-  bool deadline_expired = false;
-  bool rejected = false;
-  std::size_t k = 0;              // topk responses
-  double latency_seconds = 0.0;   // server-observed (us= field)
-  std::string raw;
-};
-
 // Client side of the resacc_serve stdin/stdout line protocol: spawns the
 // server under /bin/sh (POSIX fork/exec, like the rest of the tooling),
-// performs the `info` handshake, and formats/parses protocol lines.
-// Shared by loadgen --spec and bench_workload --serve so the two tools
-// cannot drift on wire format. Not thread-safe; one client per pipe.
+// performs the `info` handshake, and exchanges lines whose format lives
+// in serve/protocol.h. Not thread-safe; one client per pipe.
 class ProtocolClient {
  public:
   ProtocolClient() = default;
@@ -63,10 +44,13 @@ class ProtocolClient {
   static std::string FormatOp(const WorkloadOp& op,
                               const std::string& tenant);
 
-  // Parses an ok/err response line (query, topk, or mutation shape).
-  static ProtocolResponse ParseResponse(const std::string& line);
+  // serve/protocol.h's ParseResponse of an ok/err reply line.
+  static ProtocolResponse ParseResponse(const std::string& line) {
+    return resacc::ParseResponse(line);
+  }
 
   // Raw line IO. SendLine appends the newline; Flush after a batch.
+  // ReadLine reads a whole line however long it is.
   void SendLine(const std::string& line);
   void Flush();
   bool ReadLine(std::string& out);
@@ -88,8 +72,8 @@ class ProtocolClient {
 // spec.duration_seconds of wall time, and fills `report` with the same
 // per-class/per-tenant accounting as the in-process driver (latencies are
 // client-observed wall times; queue-wait/compute split is unavailable
-// through the pipe). kInternal when the server closes mid-run. Used by
-// bench_workload --serve-cmd and loadgen --spec.
+// through the pipe). kInternal when the server closes mid-run, so a lost
+// reply fails the run. Used by bench_workload --serve-cmd.
 Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
                            NodeId num_nodes, std::size_t window,
                            WorkloadReport* report);

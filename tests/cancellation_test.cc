@@ -232,11 +232,11 @@ TEST_P(PhaseCancelTest, PartialResultIsHonestAndMetricsStayConsistent) {
 INSTANTIATE_TEST_SUITE_P(AllPhases, PhaseCancelTest,
                          ::testing::Values("hhop", "omfwd", "remedy"));
 
-// The same cancel landing inside each phase of a top-k query. Top-k
-// queries keep to their own metric series: the solver's query, degraded
-// and cancelled counters and the remedy/dense/query histograms stay
-// untouched, only the push phases' histograms and resacc_topk_queries_total
-// move.
+// The same cancel landing inside each phase of a top-k query. A top-k
+// query is counted in the solver's series like a full one (query,
+// degraded and cancelled counters and the query histogram, once each)
+// and in resacc_topk_queries_total; the remedy and dense histograms stay
+// untouched because neither phase started.
 class TopKPhaseCancelTest : public PhaseCancelTest {};
 
 TEST_P(TopKPhaseCancelTest, PartialBracketIsHonestAndMetricsStayConsistent) {
@@ -272,10 +272,10 @@ TEST_P(TopKPhaseCancelTest, PartialBracketIsHonestAndMetricsStayConsistent) {
   EXPECT_EQ(outcome.omfwd_delta, phase == "hhop" ? 0u : 1u);
   EXPECT_EQ(outcome.remedy_delta, 0u);
   EXPECT_EQ(outcome.dense_delta, 0u);
-  EXPECT_EQ(outcome.queries_delta, 0u);
-  EXPECT_EQ(outcome.query_hist_delta, 0u);
-  EXPECT_EQ(outcome.degraded_delta, 0u);
-  EXPECT_EQ(outcome.cancelled_delta, 0u);
+  EXPECT_EQ(outcome.queries_delta, 1u);
+  EXPECT_EQ(outcome.query_hist_delta, 1u);
+  EXPECT_EQ(outcome.degraded_delta, 1u);
+  EXPECT_EQ(outcome.cancelled_delta, 1u);
   EXPECT_EQ(outcome.topk_queries_delta, 1u);
   EXPECT_EQ(outcome.topk_certified_delta, 0u);
   EXPECT_EQ(outcome.topk_fallback_delta, 0u);

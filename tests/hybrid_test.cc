@@ -5,7 +5,8 @@
 // the paper's local pipeline. Also pins the dense path's bit-identity
 // across walk_threads and batch lane counts, the residue-mass trigger,
 // the shrink-floor regression, the No-SG stats convention, the serve
-// config-hash coverage of the hybrid knobs, and the dense top-k prefix.
+// config-hash coverage of the hybrid knobs, and the dense top-k prefix
+// and its solver metrics.
 
 #include "resacc/core/power_iter.h"
 
@@ -23,6 +24,7 @@
 #include "resacc/eval/ground_truth.h"
 #include "resacc/graph/generators.h"
 #include "resacc/graph/graph.h"
+#include "resacc/obs/metrics_registry.h"
 #include "resacc/serve/result_cache.h"
 #include "resacc/util/top_k.h"
 #include "tests/test_graphs.h"
@@ -347,6 +349,34 @@ TEST(HybridTopKTest, DenseTopKIsPrefixOfDenseVector) {
     EXPECT_EQ(topk.entries[i].node, exact_order[i]) << "rank " << i;
     EXPECT_EQ(topk.entries[i].estimate, full[exact_order[i]]) << "rank " << i;
   }
+}
+
+// A serial top-k query on the dense path lands in the solver's own series
+// once, like a full query: queries_total, the query histogram and the
+// dense phase histogram.
+TEST(HybridTopKTest, DenseTopKRecordsSolverSeries) {
+  const Graph g = testing::StarGraph(199);
+  ResAccSolver solver(g, HybridConfig(), HybridOn());
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter& queries = registry.GetCounter("resacc_solver_queries_total", "");
+  Counter& degraded =
+      registry.GetCounter("resacc_solver_queries_degraded_total", "");
+  LatencyHistogram& total =
+      registry.GetHistogram("resacc_solver_query_seconds", "");
+  LatencyHistogram& dense =
+      registry.GetHistogram("resacc_solver_phase_seconds", "phase=\"dense\"");
+  const std::uint64_t queries0 = queries.Value();
+  const std::uint64_t degraded0 = degraded.Value();
+  const std::uint64_t total0 = total.count();
+  const std::uint64_t dense0 = dense.count();
+
+  const TopKResult topk = solver.QueryTopK(/*source=*/0, 10);
+  ASSERT_TRUE(topk.status.ok());
+  ASSERT_EQ(solver.last_stats().path, SolverPath::kDenseShrinkFloor);
+  EXPECT_EQ(queries.Value() - queries0, 1u);
+  EXPECT_EQ(degraded.Value() - degraded0, 0u);
+  EXPECT_EQ(total.count() - total0, 1u);
+  EXPECT_EQ(dense.count() - dense0, 1u);
 }
 
 TEST(HybridTopKTest, BatchDenseTopKMatchesSerial) {

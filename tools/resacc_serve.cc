@@ -15,41 +15,11 @@
 // --tenants configures multi-tenant QoS (ServeOptions::tenant_weights):
 // each named tenant gets its own bounded admission lane and a weighted
 // fair share of the workers; requests name their tenant with a trailing
-// `tenant=<name>` token (below). Unknown or absent tenants ride the
+// `tenant=<name>` token. Unknown or absent tenants ride the
 // implicit weight-1 default lane.
 //
-// Protocol (one request per line on stdin, one response line on stdout,
-// responses in request order):
-//   query <source> [top-k]  ->  ok <source> hit=0|1 coalesced=0|1
-//                                degraded=0|1 stale=0|1 eps=<achieved>
-//                                us=<latency> top <node>:<score> ...
-//                               (full solve; the top list is formatted
-//                                client-side from the full vector)
-//   topk <source> [k]       ->  ok <source> hit=0|1 coalesced=0|1
-//                                degraded=0|1 stale=0|1 certified=0|1
-//                                k=<k> eps=<achieved> gap=<bound-gap>
-//                                us=<latency> top <node>:<est>:<lb>:<ub> ...
-//                               (top-k mode, docs/QUERY_MODES.md: the
-//                                solver stops on a separation certificate;
-//                                each entry carries its score bracket)
-//   info                    ->  info nodes=<n> edges=<m> workers=<w>
-//                                epoch=<e> gen=<g> overlay=<rows>
-//   addedge <u> <v>         ->  ok addedge <u> <v> applied=0|1 epoch=<e>
-//   rmedge <u> <v>          ->  ok rmedge <u> <v> applied=0|1 epoch=<e>
-//   addnode                 ->  ok addnode <id> epoch=<e>
-//   compact                 ->  ok compact gen=<g> folded=<rows> ms=<t>
-//   stats                   ->  stats <key=value ...>
-//   metrics                 ->  Prometheus text exposition (multi-line),
-//                               terminated by a line reading `# EOF`
-//   quit                    ->  bye (and exit 0)
-//   anything else           ->  err <message>
-//
-// `query` and `topk` lines accept optional trailing tokens after the
-// positional fields, in any order (the workload harness emits these —
-// docs/WORKLOADS.md):
-//   tenant=<name>       bill the request to this tenant's lane
-//   deadline_ms=<D>     per-request deadline overriding --deadline-ms
-//   degraded=1          accept a deadline-truncated partial result
+// The line protocol (requests, replies, optional tokens, limits) is
+// defined once in src/resacc/serve/protocol.h.
 //
 // Mutations (docs/API.md "Dynamic graphs") are applied synchronously in
 // the reader thread before later lines are parsed, so a query sent after
@@ -74,7 +44,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -86,101 +55,13 @@
 #include "resacc/graph/graph_snapshot.h"
 #include "resacc/obs/metrics_registry.h"
 #include "resacc/obs/stats_reporter.h"
+#include "resacc/serve/protocol.h"
 #include "resacc/serve/query_service.h"
 #include "resacc/util/args.h"
 #include "resacc/util/bounded_queue.h"
 #include "resacc/util/timer.h"
-#include "resacc/util/top_k.h"
-
-namespace {
 
 using namespace resacc;
-
-// One stdout line: a query response waiting on its future, an
-// already-formatted line (info/err/bye), or a deferred stats snapshot. A
-// single writer thread consumes these in submission order, which is what
-// lets clients correlate responses by position — and what makes a `stats`
-// line reflect every query answered before it.
-struct OutputItem {
-  enum class Kind { kResponse, kLiteral, kStats, kMetrics };
-  Kind kind = Kind::kLiteral;
-  NodeId source = 0;
-  // `query` verb: how many pairs to format from the full vector.
-  // `topk` verb (topk_mode): the response carries the entries itself.
-  std::size_t top_k = 0;
-  bool topk_mode = false;
-  std::future<QueryResponse> future;
-  std::string literal;
-};
-
-// Optional trailing tokens on query/topk lines (tenant=, deadline_ms=,
-// degraded=1). Order-independent; unknown words are ignored so the verb
-// grammar stays forward-compatible.
-struct LineTokens {
-  std::string tenant;
-  double deadline_seconds = 0.0;
-  bool allow_degraded = false;
-};
-
-LineTokens ParseLineTokens(const char* line) {
-  LineTokens tokens;
-  if (const char* p = std::strstr(line, "deadline_ms=")) {
-    tokens.deadline_seconds = std::atof(p + 12) / 1e3;
-  }
-  if (std::strstr(line, "degraded=1") != nullptr) {
-    tokens.allow_degraded = true;
-  }
-  if (const char* p = std::strstr(line, "tenant=")) {
-    p += 7;
-    while (*p != '\0' && *p != ' ' && *p != '\t' && *p != '\n' &&
-           *p != '\r') {
-      tokens.tenant.push_back(*p++);
-    }
-  }
-  return tokens;
-}
-
-void PrintResponse(NodeId source, std::size_t top_k,
-                   const QueryResponse& response) {
-  if (!response.status.ok()) {
-    std::printf("err %s\n", response.status.ToString().c_str());
-    return;
-  }
-  std::printf("ok %u hit=%d coalesced=%d degraded=%d stale=%d eps=%.3g "
-              "us=%.0f top",
-              source, response.cache_hit ? 1 : 0, response.coalesced ? 1 : 0,
-              response.degraded ? 1 : 0, response.stale ? 1 : 0,
-              response.achieved_epsilon, response.latency_seconds * 1e6);
-  if (response.scores != nullptr) {
-    for (const auto& [node, score] : TopKPairs(*response.scores, top_k)) {
-      std::printf(" %u:%.6e", node, score);
-    }
-  }
-  std::printf("\n");
-}
-
-void PrintTopKResponse(NodeId source, const QueryResponse& response) {
-  if (!response.status.ok() || response.topk == nullptr) {
-    std::printf("err %s\n", response.status.ok()
-                                ? "top-k response missing payload"
-                                : response.status.ToString().c_str());
-    return;
-  }
-  const TopKResult& tk = *response.topk;
-  std::printf("ok %u hit=%d coalesced=%d degraded=%d stale=%d certified=%d "
-              "k=%zu eps=%.3g gap=%.3e us=%.0f top",
-              source, response.cache_hit ? 1 : 0, response.coalesced ? 1 : 0,
-              response.degraded ? 1 : 0, response.stale ? 1 : 0,
-              tk.certified ? 1 : 0, tk.k, response.achieved_epsilon,
-              tk.bound_gap, response.latency_seconds * 1e6);
-  for (const TopKEntry& entry : tk.entries) {
-    std::printf(" %u:%.6e:%.6e:%.6e", entry.node, entry.estimate, entry.lower,
-                entry.upper);
-  }
-  std::printf("\n");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
@@ -355,160 +236,123 @@ int main(int argc, char** argv) {
         stderr);
   }
 
-  BoundedQueue<OutputItem> output(window > 0 ? window : 1);
-  std::thread writer([&output, &service] {
-    OutputItem item;
-    while (output.Pop(item)) {
-      switch (item.kind) {
-        case OutputItem::Kind::kLiteral:
-          std::printf("%s\n", item.literal.c_str());
-          break;
-        case OutputItem::Kind::kResponse:
-          if (item.topk_mode) {
-            PrintTopKResponse(item.source, item.future.get());
-          } else {
-            PrintResponse(item.source, item.top_k, item.future.get());
-          }
-          break;
-        case OutputItem::Kind::kStats:
-          std::printf("stats %s\n", service.Snapshot().ToLine().c_str());
-          break;
-        case OutputItem::Kind::kMetrics:
-          // Multi-line frame; `# EOF` tells the client the scrape is done.
-          std::fputs(service.metrics().RenderPrometheus().c_str(), stdout);
-          std::printf("# EOF\n");
-          break;
-      }
+  // Every reply is a deferred computation that one writer thread runs in
+  // submission order: clients correlate replies by position, and a
+  // `stats` reply reflects every query answered before it.
+  BoundedQueue<std::future<std::string>> output(window > 0 ? window : 1);
+  std::thread writer([&output] {
+    std::future<std::string> reply;
+    while (output.Pop(reply)) {
+      const std::string line = reply.get();
+      std::fwrite(line.data(), 1, line.size(), stdout);
+      std::fputc('\n', stdout);
       std::fflush(stdout);
     }
   });
-
-  auto emit_literal = [&output](std::string text) {
-    OutputItem item;
-    item.kind = OutputItem::Kind::kLiteral;
-    item.literal = std::move(text);
-    output.Push(std::move(item));
+  // Queues a reply; blocks once `window` are in flight.
+  auto reply = [&output](auto make_line) {
+    output.Push(std::async(std::launch::deferred, std::move(make_line)));
+  };
+  auto reply_line = [&reply](std::string line) {
+    reply([line = std::move(line)] { return line; });
   };
 
-  char line[256];
+  std::string line;
   bool quit = false;
-  while (!quit && std::fgets(line, sizeof(line), stdin) != nullptr) {
-    char command[32];
-    if (std::sscanf(line, "%31s", command) != 1) continue;
-
-    if (std::strcmp(command, "query") == 0) {
-      unsigned long source = 0;
-      unsigned long top_k = 10;
-      if (std::sscanf(line, "query %lu %lu", &source, &top_k) < 1) {
-        emit_literal("err malformed query line");
-        continue;
+  while (!quit) {
+    const LineRead read = ReadProtocolLine(stdin, line, kMaxRequestBytes);
+    if (read == LineRead::kEnd) break;
+    if (read == LineRead::kTooLong) {
+      reply_line(FormatErrorResponse("request line longer than " +
+                                     std::to_string(kMaxRequestBytes) +
+                                     " bytes"));
+      continue;
+    }
+    const StatusOr<ProtocolRequest> parsed = ParseRequest(line);
+    if (!parsed.ok()) {
+      reply_line(FormatErrorResponse(parsed.status().message()));
+      continue;
+    }
+    const ProtocolRequest& request = parsed.value();
+    switch (request.verb) {
+      case ProtocolVerb::kBlank:
+        break;
+      case ProtocolVerb::kQuery:
+      case ProtocolVerb::kTopK: {
+        // `query` is a full solve whose reply lists top_k pairs cut from
+        // the vector; `topk` is the solver's top-k mode.
+        const bool topk_mode = request.verb == ProtocolVerb::kTopK;
+        QueryRequest query;
+        query.source = request.source;
+        query.top_k = topk_mode ? request.top_k : 0;
+        query.deadline_seconds = request.deadline_ms / 1e3;
+        query.allow_degraded = allow_degraded || request.degraded;
+        query.tenant = request.tenant;
+        reply([source = request.source, top_k = request.top_k, topk_mode,
+               future = service.Submit(query)]() mutable {
+          const QueryResponse response = future.get();
+          return topk_mode ? FormatTopKResponse(source, response)
+                           : FormatQueryResponse(source, top_k, response);
+        });
+        break;
       }
-      // Full-solve semantics: top_k stays 0 on the request (top-k mode is
-      // the `topk` verb); the printed top list is cut client-side.
-      const LineTokens tokens = ParseLineTokens(line);
-      QueryRequest request;
-      request.source = static_cast<NodeId>(source);
-      request.deadline_seconds = tokens.deadline_seconds;
-      request.allow_degraded = allow_degraded || tokens.allow_degraded;
-      request.tenant = tokens.tenant;
-      OutputItem item;
-      item.kind = OutputItem::Kind::kResponse;
-      item.source = request.source;
-      item.top_k = static_cast<std::size_t>(top_k);
-      item.future = service.Submit(request);
-      output.Push(std::move(item));  // blocks once `window` are in flight
-    } else if (std::strcmp(command, "topk") == 0) {
-      unsigned long source = 0;
-      unsigned long k = 10;
-      if (std::sscanf(line, "topk %lu %lu", &source, &k) < 1 || k == 0) {
-        emit_literal("err malformed topk line");
-        continue;
+      case ProtocolVerb::kInfo: {
+        const Graph live = view->Snapshot();
+        const MutableGraphStats graph = view->stats();
+        reply_line(FormatInfoResponse({.nodes = live.num_nodes(),
+                                       .edges = live.num_edges(),
+                                       .workers = service.num_workers(),
+                                       .epoch = graph.epoch,
+                                       .generation = graph.generation,
+                                       .overlay_rows = graph.overlay_rows}));
+        break;
       }
-      const LineTokens tokens = ParseLineTokens(line);
-      QueryRequest request;
-      request.source = static_cast<NodeId>(source);
-      request.top_k = static_cast<std::size_t>(k);
-      request.deadline_seconds = tokens.deadline_seconds;
-      request.allow_degraded = allow_degraded || tokens.allow_degraded;
-      request.tenant = tokens.tenant;
-      OutputItem item;
-      item.kind = OutputItem::Kind::kResponse;
-      item.source = request.source;
-      item.topk_mode = true;
-      item.future = service.Submit(request);
-      output.Push(std::move(item));
-    } else if (std::strcmp(command, "info") == 0) {
-      const Graph live = view->Snapshot();
-      const MutableGraphStats graph_stats = view->stats();
-      char buf[192];
-      std::snprintf(buf, sizeof(buf),
-                    "info nodes=%u edges=%llu workers=%zu epoch=%llu "
-                    "gen=%llu overlay=%zu",
-                    live.num_nodes(),
-                    static_cast<unsigned long long>(live.num_edges()),
-                    service.num_workers(),
-                    static_cast<unsigned long long>(graph_stats.epoch),
-                    static_cast<unsigned long long>(graph_stats.generation),
-                    graph_stats.overlay_rows);
-      emit_literal(buf);
-    } else if (std::strcmp(command, "addedge") == 0 ||
-               std::strcmp(command, "rmedge") == 0) {
-      unsigned long u = 0;
-      unsigned long v = 0;
-      if (std::sscanf(line, "%*s %lu %lu", &u, &v) != 2) {
-        emit_literal("err malformed mutation line");
-        continue;
+      case ProtocolVerb::kAddEdge:
+      case ProtocolVerb::kRmEdge: {
+        GraphDelta delta;
+        const Status status =
+            request.verb == ProtocolVerb::kRmEdge
+                ? view->RemoveEdge(request.source, request.target, &delta)
+                : view->AddEdge(request.source, request.target, &delta);
+        if (!status.ok() && status.code() != StatusCode::kAlreadyExists &&
+            status.code() != StatusCode::kNotFound) {
+          reply_line(FormatErrorResponse(status.ToString()));
+          break;
+        }
+        // A no-op mutation (duplicate add / missing remove) publishes no
+        // epoch and needs no service update.
+        if (status.ok()) service.UpdateGraph(view->Snapshot(), delta);
+        reply_line(FormatMutationResponse(request.verb, request.source,
+                                          request.target, status.ok(),
+                                          view->epoch()));
+        break;
       }
-      const bool remove = command[0] == 'r';
-      GraphDelta delta;
-      const Status status =
-          remove ? view->RemoveEdge(static_cast<NodeId>(u),
-                                    static_cast<NodeId>(v), &delta)
-                 : view->AddEdge(static_cast<NodeId>(u),
-                                 static_cast<NodeId>(v), &delta);
-      if (!status.ok() && status.code() != StatusCode::kAlreadyExists &&
-          status.code() != StatusCode::kNotFound) {
-        emit_literal("err " + status.ToString());
-        continue;
+      case ProtocolVerb::kAddNode: {
+        GraphDelta delta;
+        const NodeId id = view->AddNode(&delta);
+        service.UpdateGraph(view->Snapshot(), delta);
+        reply_line(FormatAddNodeResponse(id, view->epoch()));
+        break;
       }
-      // A no-op mutation (duplicate add / missing remove) publishes no
-      // epoch and needs no service update.
-      if (status.ok()) service.UpdateGraph(view->Snapshot(), delta);
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "ok %s %lu %lu applied=%d epoch=%llu",
-                    command, u, v, status.ok() ? 1 : 0,
-                    static_cast<unsigned long long>(view->epoch()));
-      emit_literal(buf);
-    } else if (std::strcmp(command, "addnode") == 0) {
-      GraphDelta delta;
-      const NodeId id = view->AddNode(&delta);
-      service.UpdateGraph(view->Snapshot(), delta);
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "ok addnode %u epoch=%llu", id,
-                    static_cast<unsigned long long>(view->epoch()));
-      emit_literal(buf);
-    } else if (std::strcmp(command, "compact") == 0) {
-      // The compaction callback re-points the service and the gauge; this
-      // verb just reports what the fold did.
-      const CompactionInfo compaction = view->Compact();
-      char buf[128];
-      std::snprintf(buf, sizeof(buf), "ok compact gen=%llu folded=%zu ms=%.1f",
-                    static_cast<unsigned long long>(compaction.generation),
-                    compaction.folded_rows, compaction.seconds * 1e3);
-      emit_literal(buf);
-    } else if (std::strcmp(command, "stats") == 0) {
-      OutputItem item;
-      item.kind = OutputItem::Kind::kStats;
-      output.Push(std::move(item));
-    } else if (std::strcmp(command, "metrics") == 0) {
-      OutputItem item;
-      item.kind = OutputItem::Kind::kMetrics;
-      output.Push(std::move(item));
-    } else if (std::strcmp(command, "quit") == 0) {
-      emit_literal("bye");
-      quit = true;
-    } else {
-      emit_literal(std::string("err unknown command '") + command + "'");
+      case ProtocolVerb::kCompact:
+        // The compaction callback re-points the service and the gauge;
+        // this verb just reports what the fold did.
+        reply_line(FormatCompactResponse(view->Compact()));
+        break;
+      case ProtocolVerb::kStats:
+        reply([&service] { return FormatStatsResponse(service.Snapshot()); });
+        break;
+      case ProtocolVerb::kMetrics:
+        // Multi-line; the kMetricsEnd line tells the client it is done.
+        reply([&service] {
+          return service.metrics().RenderPrometheus() +
+                 std::string(kMetricsEnd);
+        });
+        break;
+      case ProtocolVerb::kQuit:
+        reply_line(std::string(kQuitReply));
+        quit = true;
+        break;
     }
   }
 
