@@ -11,7 +11,7 @@
 // weighted-fair-queue lanes, and runs the multi-tenant open/closed-loop
 // WorkloadDriver (src/resacc/workload/driver.h) against it. The report —
 // per-class and per-tenant p50/p99/p999, rejection/deadline/degraded/
-// stale/certified rates, per-tenant fair-share throughput — is written to
+// certified rates, per-tenant fair-share throughput — is written to
 // --out as BENCH_workload.json (docs/WORKLOADS.md explains every field).
 //
 // --check gates the report against --bounds (default

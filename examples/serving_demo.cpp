@@ -60,8 +60,8 @@ int main() {
         } else if (i == 0) {
           std::printf(
               "client %d first answer: source=%u best=%u (%.3e) %s\n", c,
-              request.source, response.top[0].first,
-              response.top[0].second,
+              request.source, response.topk->entries[0].node,
+              response.topk->entries[0].estimate,
               response.cache_hit ? "[cache hit]" : "[computed]");
         }
       }

@@ -82,9 +82,9 @@ double LeadingNumber(std::string_view text) {
 
 void AppendQueryHead(std::string& out, NodeId source,
                      const QueryResponse& response) {
-  Appendf(out, "ok %u hit=%d coalesced=%d degraded=%d stale=%d", source,
+  Appendf(out, "ok %u hit=%d coalesced=%d degraded=%d", source,
           response.cache_hit ? 1 : 0, response.coalesced ? 1 : 0,
-          response.degraded ? 1 : 0, response.stale ? 1 : 0);
+          response.degraded ? 1 : 0);
 }
 
 }  // namespace
@@ -188,7 +188,6 @@ ProtocolResponse ParseResponse(std::string_view line) {
     if (key == "hit") response.hit = flag;
     if (key == "coalesced") response.coalesced = flag;
     if (key == "degraded") response.degraded = flag;
-    if (key == "stale") response.stale = flag;
     if (key == "certified") response.certified = flag;
     if (key == "us") response.latency_seconds = LeadingNumber(text) / 1e6;
     if (key == "k" &&

@@ -6,11 +6,11 @@
 // format and parse every line here. One request per line, one reply per
 // request, replies in request order (flags print as 0|1):
 //
-//   query <source> [k]  ok <source> hit= coalesced= degraded= stale= eps=
-//                       us= top <node>:<score> ...  (full solve; the top k
+//   query <source> [k]  ok <source> hit= coalesced= degraded= eps= us=
+//                       top <node>:<score> ...  (full solve; the top k
 //                       pairs of the vector, default 10)
-//   topk <source> [k]   ok <source> hit= coalesced= degraded= stale=
-//                       certified= k= eps= gap= us=
+//   topk <source> [k]   ok <source> hit= coalesced= degraded= certified=
+//                       k= eps= gap= us=
 //                       top <node>:<est>:<lower>:<upper> ...  (top-k mode,
 //                       docs/QUERY_MODES.md; k >= 1, default 10)
 //   info                info nodes= edges= workers= epoch= gen= overlay=
@@ -21,6 +21,9 @@
 //   metrics             Prometheus text, then a line reading kMetricsEnd
 //   quit                bye
 //   anything else       err <message>
+//
+// eps= is the accuracy the answer meets: the configured epsilon for a
+// complete answer, cache hits included; a degraded answer's weaker bound.
 //
 // `query` and `topk` take optional tokens after the positional fields,
 // in any order (other words are ignored; of a repeated token the first
@@ -79,7 +82,6 @@ struct ProtocolResponse {
   bool hit = false;
   bool coalesced = false;
   bool degraded = false;
-  bool stale = false;
   bool certified = false;
   // Non-OK classification (docs/QUERY_MODES.md outcomes): expiry and
   // backpressure are load-dependent behavior; anything else non-OK is a

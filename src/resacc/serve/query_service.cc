@@ -13,9 +13,10 @@ namespace {
 
 // Result-cache lock shards.
 constexpr std::size_t kCacheShards = 8;
-// Queue fill, as a fraction of capacity, at which a stale cache entry is
-// served instead of recomputed (ServeOptions::cache_ttl_seconds).
-constexpr double kOverloadHighWater = 0.75;
+// Drift budget of targeted invalidation, as a fraction of epsilon * delta:
+// a promoted entry's scores above delta keep a (1 + slack) * epsilon
+// relative bound against the new graph.
+constexpr double kInvalidationSlack = 0.5;
 
 std::future<QueryResponse> ReadyResponse(QueryResponse response) {
   std::promise<QueryResponse> promise;
@@ -51,8 +52,7 @@ QueryService::QueryService(const Graph& graph, const RwrConfig& config,
                            const ServeOptions& options)
     : config_(config),
       options_(options),
-      config_hash_(HashQueryConfig(config, options.solver) ^
-                   options.cache_tag),
+      config_hash_(HashQueryConfig(config, options.solver)),
       // The initial state is a shallow view: the caller's graph must stay
       // alive while the service runs (the same contract the old const
       // Graph& member had). UpdateGraph replaces it with self-contained
@@ -93,10 +93,6 @@ QueryService::QueryService(const Graph& graph, const RwrConfig& config,
       cancelled_(registry_.GetCounter(
           options_.metrics_prefix + "_cancelled_total", "",
           "Requests resolved with kCancelled via Cancel(request_id).")),
-      stale_served_(registry_.GetCounter(
-          options_.metrics_prefix + "_stale_served_total", "",
-          "Stale cache entries served because the queue was past the "
-          "overload high-water mark.")),
       invalidated_(registry_.GetCounter(
           options_.metrics_prefix + "_invalidated_total", "",
           "Cache entries dropped by graph-mutation epoch transitions.")),
@@ -203,33 +199,25 @@ QueryService::QueryService(const Graph& graph, const RwrConfig& config,
   const std::size_t workers = options.num_workers > 0
                                   ? options.num_workers
                                   : ThreadPool::DefaultThreads();
-  solvers_.reserve(workers);
-  batch_solvers_.reserve(workers);
-  worker_states_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    solvers_.push_back(MakeSolver(*graph_state_));
-    RESACC_CHECK(solvers_.back() != nullptr);
-    batch_solvers_.push_back(BatchingEnabled() ? MakeBatchSolver(*graph_state_)
-                                               : nullptr);
-    worker_states_.push_back(graph_state_);
-  }
+  solvers_.resize(workers);
+  batch_solvers_.resize(workers);
+  worker_states_.resize(workers);
+  for (std::size_t i = 0; i < workers; ++i) BindWorker(i, graph_state_);
   pool_ = std::make_unique<ThreadPool>(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     pool_->Submit([this, i] { WorkerLoop(i); });
   }
 }
 
-std::unique_ptr<SsrwrAlgorithm> QueryService::MakeSolver(
-    const GraphState& state) const {
-  if (options_.solver_factory) return options_.solver_factory(state.graph);
-  return std::make_unique<ResAccSolver>(state.graph, config_,
-                                        options_.solver);
-}
-
-std::unique_ptr<BatchSolver> QueryService::MakeBatchSolver(
-    const GraphState& state) const {
-  return std::make_unique<BatchSolver>(state.graph, config_,
-                                       options_.solver);
+void QueryService::BindWorker(std::size_t worker_index,
+                              std::shared_ptr<const GraphState> state) {
+  solvers_[worker_index] =
+      std::make_unique<ResAccSolver>(state->graph, config_, options_.solver);
+  if (BatchingEnabled()) {
+    batch_solvers_[worker_index] =
+        std::make_unique<BatchSolver>(state->graph, config_, options_.solver);
+  }
+  worker_states_[worker_index] = std::move(state);
 }
 
 std::size_t QueryService::LaneFor(const std::string& tenant) const {
@@ -282,10 +270,9 @@ void QueryService::UpdateGraph(Graph snapshot, const GraphDelta& delta) {
                                    /*flush_all=*/true);
   } else {
     // The budget keeps every promoted entry's score error under
-    // slack * epsilon * delta — scores above the paper's delta threshold
-    // still meet a (1 + slack) * epsilon relative bound.
+    // kInvalidationSlack * epsilon * delta.
     const double budget =
-        options_.invalidation_slack * config_.epsilon * config_.delta;
+        kInvalidationSlack * config_.epsilon * config_.delta;
     GraphDelta batch;
     batch.dirty_out = delta.dirty_out;
     const double alpha = config_.alpha;
@@ -355,23 +342,13 @@ QueryResponse QueryService::MakeResponse(const Completion& completion,
     if (waiter.top_k > 0) {
       // Top-k waiter bridged from a full vector (full-entry cache hit or
       // coalesced onto a full job): epsilon-bracketed approximate result.
-      const double eps = completion.achieved_epsilon > 0.0
-                             ? completion.achieved_epsilon
-                             : config_.epsilon;
-      auto bridged = std::make_shared<TopKResult>(
-          MakeApproximateTopK(*completion.scores, waiter.top_k, eps,
-                              response.degraded,
-                              completion.uncorrected_mass));
+      auto bridged = std::make_shared<TopKResult>(MakeApproximateTopK(
+          *completion.scores, waiter.top_k, completion.achieved_epsilon,
+          response.degraded, completion.uncorrected_mass));
       bridged->status = response.status;
       response.topk = std::move(bridged);
     } else {
       response.scores = completion.scores;
-    }
-  }
-  if (response.topk != nullptr) {
-    response.top.reserve(response.topk->entries.size());
-    for (const TopKEntry& entry : response.topk->entries) {
-      response.top.emplace_back(entry.node, entry.estimate);
     }
   }
   response.latency_seconds = SecondsSince(waiter.submit_time);
@@ -401,48 +378,34 @@ std::future<QueryResponse> QueryService::Submit(const QueryRequest& request) {
   // Top-k probes additionally hit a stored top-k' payload whose prefix
   // satisfies k (result_cache.h LookupTopK).
   const CacheKey key{config_hash_, request.source, state->epoch};
-  ResultCache::AgedTopK hit;
+  Completion hit;
   if (request.top_k > 0) {
-    hit = cache_.LookupTopK(key, request.top_k);
+    const ResultCache::TopKHit probe = cache_.LookupTopK(key, request.top_k);
+    hit.scores = probe.scores;
+    hit.topk = probe.topk;
   } else {
-    const ResultCache::AgedValue full = cache_.LookupWithAge(key);
-    hit.scores = full.value;
-    hit.age_seconds = full.age_seconds;
+    hit.scores = cache_.Lookup(key);
   }
   if (hit.scores != nullptr || hit.topk != nullptr) {
-    const bool fresh = options_.cache_ttl_seconds <= 0.0 ||
-                       hit.age_seconds <= options_.cache_ttl_seconds;
-    // Admission control: a stale entry is normally recomputed, but once
-    // the queue passes the high-water mark a slightly-old answer now
-    // beats a fresh one that would deepen the backlog.
-    const bool overloaded =
-        queue_.size() >= static_cast<std::size_t>(
-                             kOverloadHighWater *
-                             static_cast<double>(queue_.capacity()));
-    if (fresh || overloaded) {
-      Waiter waiter;
-      waiter.top_k = request.top_k;
-      waiter.submit_time = t0;
-      Completion completion;
-      completion.scores = hit.scores;
-      completion.topk = hit.topk;
-      QueryResponse response = MakeResponse(completion, waiter);
-      response.cache_hit = true;
-      response.stale = !fresh;
-      submitted_.Increment();
-      completed_.Increment();
-      if (request.top_k > 0) topk_queries_.Increment();
-      if (!fresh) stale_served_.Increment();
-      latency_.Record(response.latency_seconds);
-      if (tenant != nullptr) {
-        tenant->submitted->Increment();
-        tenant->completed->Increment();
-        tenant->latency->Record(response.latency_seconds);
-      }
-      return ReadyResponse(std::move(response));
+    // Only complete, un-degraded results are cached: a full vector meets
+    // the configured epsilon, a top-k payload carries its own.
+    hit.achieved_epsilon =
+        hit.topk != nullptr ? hit.topk->achieved_epsilon : config_.epsilon;
+    Waiter waiter;
+    waiter.top_k = request.top_k;
+    waiter.submit_time = t0;
+    QueryResponse response = MakeResponse(hit, waiter);
+    response.cache_hit = true;
+    submitted_.Increment();
+    completed_.Increment();
+    if (request.top_k > 0) topk_queries_.Increment();
+    latency_.Record(response.latency_seconds);
+    if (tenant != nullptr) {
+      tenant->submitted->Increment();
+      tenant->completed->Increment();
+      tenant->latency->Record(response.latency_seconds);
     }
-    // Stale and no overload: fall through; the recompute refreshes the
-    // entry.
+    return ReadyResponse(std::move(response));
   }
 
   Waiter waiter;
@@ -627,9 +590,7 @@ void QueryService::WorkerLoop(std::size_t worker_index) {
     // so a compaction swap also re-points the solvers at the folded base.
     std::shared_ptr<const GraphState> state = CurrentState();
     if (state != worker_states_[worker_index]) {
-      solvers_[worker_index] = MakeSolver(*state);
-      if (max_batch > 1) batch_solvers_[worker_index] = MakeBatchSolver(*state);
-      worker_states_[worker_index] = std::move(state);
+      BindWorker(worker_index, std::move(state));
     }
     const std::uint64_t epoch = worker_states_[worker_index]->epoch;
 
@@ -722,7 +683,7 @@ void QueryService::ComputeJobs(std::size_t worker_index,
     // opted in (and break the bit-identity-with-a-fresh-solver contract).
     // Inserts go under the epoch the solver computed against. If the
     // graph moved on mid-compute, that is an old epoch current lookups
-    // no longer use — the entry is stranded, never stale-served.
+    // no longer use — the entry is stranded, never served.
     if (live[i]->top_k > 0) {
       TopKResult& tk = topk_results[i];
       completion.status = tk.status;
@@ -803,7 +764,6 @@ ServerStats QueryService::Snapshot() const {
   stats.computed = computed_.Value();
   stats.degraded = degraded_.Value();
   stats.cancelled = cancelled_.Value();
-  stats.stale_served = stale_served_.Value();
 
   const ResultCache::Counters cache = cache_.counters();
   stats.cache_hits = cache.hits;

@@ -17,7 +17,6 @@
 #include "resacc/core/resacc_solver.h"
 #include "resacc/obs/metrics_registry.h"
 #include "resacc/core/rwr_config.h"
-#include "resacc/core/ssrwr_algorithm.h"
 #include "resacc/graph/dynamic/mutable_graph_view.h"
 #include "resacc/graph/graph.h"
 #include "resacc/serve/result_cache.h"
@@ -77,10 +76,8 @@ struct ServeOptions {
   // Every lane's result is bit-identical to the serial solver's, so
   // batching changes throughput and latency, never answers. 1 disables
   // batching (the default: lingering trades latency for throughput, an
-  // opt-in). Values above BatchSolver::kMaxLanes are clamped; ignored
-  // when solver_factory is set (batching is a ResAcc-pipeline
-  // capability). A batch that ends up with a single live job takes the
-  // ordinary serial path.
+  // opt-in). Values above BatchSolver::kMaxLanes are clamped. A batch
+  // that ends up with a single live job takes the ordinary serial path.
   std::size_t max_batch = 1;
   std::uint64_t batch_linger_us = 0;
 
@@ -92,25 +89,8 @@ struct ServeOptions {
   // its worker for the full solve.
   double default_deadline_seconds = 0.0;
 
-  // Age at which a cached result counts as stale; 0 (default) means
-  // entries never go stale. Fresh-enough entries are always served; stale
-  // ones are recomputed — except under overload: once the submission
-  // queue is at or past 3/4 of its capacity, a stale entry is served
-  // (tagged QueryResponse::stale) instead of deepening the backlog.
-  double cache_ttl_seconds = 0.0;
-
-  // Solver knobs shared by every worker.
+  // Solver knobs shared by every worker's ResAccSolver.
   ResAccOptions solver;
-
-  // Optional solver factory for serving a non-ResAcc backend. Invoked
-  // with the graph snapshot the solver must answer against — again after
-  // every UpdateGraph, since workers rebuild their solver when the graph
-  // changes. Every instance must be deterministic per source and
-  // configured identically, or caching/coalescing would conflate
-  // different answers; set cache_tag to a value identifying the backend +
-  // its configuration.
-  std::function<std::unique_ptr<SsrwrAlgorithm>(const Graph&)> solver_factory;
-  std::uint64_t cache_tag = 0;
 
   // Cache policy applied by UpdateGraph when the graph content changes.
   //   kTargeted: per-entry influence bound (dynamic/invalidation.h) —
@@ -118,14 +98,13 @@ struct ServeOptions {
   //     promoted to the new epoch; the rest are dropped.
   //   kFlushAll: drop every entry of the old epoch (the baseline
   //     bench_micro's dynamic section compares against).
+  // Targeted promotion keeps an entry while its cumulative L1
+  // perturbation bound stays under 0.5 * epsilon * delta, so every score
+  // above the paper's delta threshold still meets a 1.5 * epsilon
+  // relative bound (docs/API.md "Dynamic graphs: mutations and
+  // invalidation").
   enum class InvalidationMode { kTargeted, kFlushAll };
   InvalidationMode invalidation = InvalidationMode::kTargeted;
-  // Drift budget for promotion, as a fraction of epsilon * delta: an
-  // entry survives while its cumulative L1 perturbation bound stays under
-  // invalidation_slack * epsilon * delta, i.e. every score above the
-  // paper's delta threshold still meets a (1 + slack) * epsilon relative
-  // bound (docs/API.md "Dynamic graphs: mutations and invalidation").
-  double invalidation_slack = 0.5;
 
   // Observability/test hook, invoked on the worker thread right after a
   // job is dequeued (before the deadline check and the solver call).
@@ -148,9 +127,9 @@ struct QueryRequest {
   NodeId source = 0;
   // 0 requests the full score vector. k > 0 selects top-k mode: the
   // response carries the k best entries with per-entry bound certificates
-  // (QueryResponse::topk, mirrored into ::top) and `scores` stays null —
-  // the solver terminates early on a separation certificate instead of
-  // materializing the n-vector (docs/QUERY_MODES.md "Top-k").
+  // (QueryResponse::topk) and `scores` stays null — the solver terminates
+  // early on a separation certificate instead of materializing the
+  // n-vector (docs/QUERY_MODES.md "Top-k").
   std::size_t top_k = 0;
   // Relative deadline from submission; 0 falls back to the service
   // default. Coalesced requests share the leader's deadline.
@@ -183,8 +162,6 @@ struct QueryResponse {
   // separate (topk->k says how many; the set is still certified/bounded
   // as documented on TopKResult).
   std::shared_ptr<const TopKResult> topk;
-  // Convenience (node, estimate) pairs, descending; filled in top-k mode.
-  std::vector<std::pair<NodeId, Score>> top;
 
   bool cache_hit = false;
   bool coalesced = false;
@@ -196,15 +173,12 @@ struct QueryResponse {
   // `uncorrected_mass` of probability mass and satisfies the weaker bound
   // `achieved_epsilon` instead of the configured epsilon. Degraded
   // results are never cached — only full-accuracy vectors enter the
-  // cache. achieved_epsilon is also filled on complete responses (then it
-  // equals the configured epsilon; 0 for non-ResAcc/FORA/MC backends that
-  // predate the contract).
+  // cache. achieved_epsilon is also filled on complete responses, cache
+  // hits included: the configured epsilon, or a stored top-k payload's own
+  // achieved epsilon.
   bool degraded = false;
   double achieved_epsilon = 0.0;
   Score uncorrected_mass = 0.0;
-  // Served from a cache entry older than cache_ttl_seconds because the
-  // queue was past the overload high-water mark.
-  bool stale = false;
   // The latency split: seconds the job waited for a worker vs. seconds
   // inside the solver. Zero for cache hits (neither happened) and for
   // coalesced followers (they share the leader's job).
@@ -347,13 +321,14 @@ class QueryService {
     std::atomic<std::uint64_t> compute_epoch{kEpochUnset};
   };
 
-  // What the worker (or the queued-expiry path) hands to FinalizeJob: the
-  // solver outcome plus the latency split.
+  // What the worker (or the queued-expiry path) hands to FinalizeJob, and
+  // what a cache hit hands to MakeResponse: the solver outcome plus the
+  // latency split.
   struct Completion {
     Status status;
-    // Exactly one is set on a successful compute: `scores` for full jobs,
-    // `topk` for top-k jobs (a waiter coalesced across shapes is bridged
-    // in MakeResponse).
+    // Exactly one is set on a successful compute or hit: `scores` for full
+    // results, `topk` for top-k results (a top-k waiter of a full result
+    // is bridged in MakeResponse).
     std::shared_ptr<const std::vector<Score>> scores;
     std::shared_ptr<const TopKResult> topk;
     bool degraded = false;
@@ -369,15 +344,12 @@ class QueryService {
   std::size_t LaneFor(const std::string& tenant) const;
 
   std::shared_ptr<const GraphState> CurrentState() const;
-  // Builds a worker's solver against `state` (factory or ResAccSolver).
-  std::unique_ptr<SsrwrAlgorithm> MakeSolver(const GraphState& state) const;
-  std::unique_ptr<BatchSolver> MakeBatchSolver(const GraphState& state) const;
-
-  // True when workers gather multi-source batches (max_batch > 1 and the
-  // default ResAcc backend — a custom factory's solver has no batch API).
-  bool BatchingEnabled() const {
-    return options_.max_batch > 1 && !options_.solver_factory;
-  }
+  // Builds worker `worker_index`'s solvers against `state` (at
+  // construction, and again whenever the worker sees a newer state).
+  void BindWorker(std::size_t worker_index,
+                  std::shared_ptr<const GraphState> state);
+  // True when workers gather multi-source batches.
+  bool BatchingEnabled() const { return options_.max_batch > 1; }
 
   void WorkerLoop(std::size_t worker_index);
   // Runs `live` (the non-expired gathered jobs) on worker
@@ -410,7 +382,7 @@ class QueryService {
   // Worker-private solvers; slot i is rebuilt by worker i when it
   // observes a newer graph state (worker_states_[i] tracks which state
   // slot i's solver answers against).
-  std::vector<std::unique_ptr<SsrwrAlgorithm>> solvers_;
+  std::vector<std::unique_ptr<ResAccSolver>> solvers_;
   // Worker-private batch solvers, built only when BatchingEnabled();
   // rebuilt alongside solvers_ on graph updates.
   std::vector<std::unique_ptr<BatchSolver>> batch_solvers_;
@@ -445,7 +417,6 @@ class QueryService {
   Counter& computed_;
   Counter& degraded_;
   Counter& cancelled_;
-  Counter& stale_served_;
   Counter& invalidated_;
   Counter& cache_kept_;
   Counter& batched_queries_;

@@ -1,6 +1,5 @@
 #include "resacc/serve/result_cache.h"
 
-#include <chrono>
 #include <cstring>
 
 #include "resacc/util/check.h"
@@ -72,7 +71,7 @@ ResultCache::ResultCache(std::size_t max_bytes, std::size_t num_shards)
   }
 }
 
-ResultCache::AgedValue ResultCache::LookupWithAge(const CacheKey& key) {
+ResultCache::Value ResultCache::Lookup(const CacheKey& key) {
   if (max_bytes_ == 0) return {};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -91,14 +90,11 @@ ResultCache::AgedValue ResultCache::LookupWithAge(const CacheKey& key) {
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return {it->second->value,
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        it->second->inserted)
-              .count()};
+  return it->second->value;
 }
 
-ResultCache::AgedTopK ResultCache::LookupTopK(const CacheKey& key,
-                                              std::size_t k) {
+ResultCache::TopKHit ResultCache::LookupTopK(const CacheKey& key,
+                                             std::size_t k) {
   if (max_bytes_ == 0 || k == 0) return {};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -111,8 +107,8 @@ ResultCache::AgedTopK ResultCache::LookupTopK(const CacheKey& key,
     ++shard.misses;
     return {};
   }
-  Entry& entry = *it->second;
-  AgedTopK out;
+  const Entry& entry = *it->second;
+  TopKHit out;
   if (entry.value != nullptr) {
     out.scores = entry.value;
   } else if (entry.topk != nullptr && TopKPrefixSatisfies(*entry.topk, k)) {
@@ -125,9 +121,6 @@ ResultCache::AgedTopK ResultCache::LookupTopK(const CacheKey& key,
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  out.age_seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - entry.inserted)
-                        .count();
   return out;
 }
 
@@ -138,7 +131,6 @@ void ResultCache::Insert(const CacheKey& key, Value value) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
 
-  const auto now = std::chrono::steady_clock::now();
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     shard.bytes -= it->second->bytes;
@@ -148,7 +140,6 @@ void ResultCache::Insert(const CacheKey& key, Value value) {
     // under the same key: upgrade in place.
     it->second->topk = nullptr;
     it->second->bytes = bytes;
-    it->second->inserted = now;
     // A refresh is a brand-new computation against the entry's epoch: the
     // drift accrued by the *previous* vector across past epoch promotions
     // does not apply to it. Carrying it over would overstate the new
@@ -161,7 +152,6 @@ void ResultCache::Insert(const CacheKey& key, Value value) {
     entry.key = key;
     entry.value = std::move(value);
     entry.bytes = bytes;
-    entry.inserted = now;
     shard.lru.push_front(std::move(entry));
     shard.index.emplace(key, shard.lru.begin());
     shard.bytes += bytes;
@@ -179,22 +169,18 @@ void ResultCache::InsertTopK(const CacheKey& key, TopKValue value) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
 
-  const auto now = std::chrono::steady_clock::now();
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     Entry& entry = *it->second;
     // Never downgrade: a resident full vector answers every top-k probe
     // under this key, and a wider stored top-k' answers a superset of the
-    // probes this payload could. (The skipped payload may be *fresher*;
-    // the age signal then reflects the kept computation, which is the
-    // conservative direction for staleness policies.)
+    // probes this payload could.
     if (entry.value != nullptr) return;
     if (entry.topk != nullptr && entry.topk->k > value->k) return;
     shard.bytes -= entry.bytes;
     shard.bytes += bytes;
     entry.topk = std::move(value);
     entry.bytes = bytes;
-    entry.inserted = now;
     entry.drift = 0.0;  // fresh computation against this epoch (see Insert)
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   } else {
@@ -202,7 +188,6 @@ void ResultCache::InsertTopK(const CacheKey& key, TopKValue value) {
     entry.key = key;
     entry.topk = std::move(value);
     entry.bytes = bytes;
-    entry.inserted = now;
     shard.lru.push_front(std::move(entry));
     shard.index.emplace(key, shard.lru.begin());
     shard.bytes += bytes;

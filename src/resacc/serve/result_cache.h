@@ -1,7 +1,6 @@
 #ifndef RESACC_SERVE_RESULT_CACHE_H_
 #define RESACC_SERVE_RESULT_CACHE_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -95,36 +94,25 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  // A Lookup hit plus how long ago the entry was inserted — the serving
-  // layer's staleness signal (entries are never expired by the cache
-  // itself; the caller decides what "too old" means).
-  struct AgedValue {
-    Value value;  // nullptr on miss
-    double age_seconds = 0.0;
-  };
-
   // Returns the cached vector (marking the entry most-recently-used) or
   // nullptr on miss. Top-k-only entries do NOT satisfy a full-vector
   // lookup (they will be upgraded by the recompute's Insert).
-  Value Lookup(const CacheKey& key) { return LookupWithAge(key).value; }
-
-  // Lookup variant reporting the entry's age.
-  AgedValue LookupWithAge(const CacheKey& key);
+  Value Lookup(const CacheKey& key);
 
   // A top-k probe hit: exactly one of `scores` (the entry held a full
   // vector — a superset of any top-k) or `topk` (a stored top-k' result
   // whose k-prefix satisfies the probe, TopKPrefixSatisfies) is set.
-  struct AgedTopK {
+  // Both are null on a miss.
+  struct TopKHit {
     Value scores;
     TopKValue topk;
-    double age_seconds = 0.0;
   };
 
   // Lookup for a top-k probe: hits a full entry outright, or a top-k'
   // entry with k' >= k whose prefix separates (certified) / any prefix
   // (approximate). A stored top-k' whose prefix cannot answer k counts as
   // a miss — the caller recomputes and InsertTopK refreshes.
-  AgedTopK LookupTopK(const CacheKey& key, std::size_t k);
+  TopKHit LookupTopK(const CacheKey& key, std::size_t k);
 
   // Inserts or refreshes `value`, evicting LRU entries as needed to stay
   // within the shard's byte budget. Replaces a top-k entry under the same
@@ -173,7 +161,6 @@ class ResultCache {
     Value value;      // full entries: the score vector (else nullptr)
     TopKValue topk;   // top-k entries: the certified/approximate result
     std::size_t bytes = 0;
-    std::chrono::steady_clock::time_point inserted;
     // Cumulative L1 perturbation bound accrued across the epoch
     // promotions this entry survived (InvalidateEpoch).
     double drift = 0.0;

@@ -17,8 +17,7 @@ std::string ServerStats::ToString() const {
       buf, sizeof(buf),
       "requests: submitted=%llu completed=%llu rejected=%llu expired=%llu "
       "cancelled=%llu\n"
-      "work:     computed=%llu coalesced=%llu degraded=%llu "
-      "stale_served=%llu\n"
+      "work:     computed=%llu coalesced=%llu degraded=%llu\n"
       "cache:    hits=%llu misses=%llu hit_rate=%.1f%% evictions=%llu "
       "entries=%zu bytes=%zu\n"
       "queue:    depth=%zu/%zu workers=%zu\n"
@@ -34,7 +33,6 @@ std::string ServerStats::ToString() const {
       static_cast<unsigned long long>(computed),
       static_cast<unsigned long long>(coalesced),
       static_cast<unsigned long long>(degraded),
-      static_cast<unsigned long long>(stale_served),
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses), CacheHitRate() * 100.0,
       static_cast<unsigned long long>(cache_evictions), cache_entries,
@@ -49,7 +47,7 @@ std::string ServerStats::ToLine() const {
   std::snprintf(
       buf, sizeof(buf),
       "submitted=%llu completed=%llu rejected=%llu expired=%llu "
-      "cancelled=%llu degraded=%llu stale_served=%llu "
+      "cancelled=%llu degraded=%llu "
       "computed=%llu coalesced=%llu cache_hits=%llu cache_misses=%llu "
       "hit_rate=%.4f queue_depth=%zu qps=%.2f p50_ms=%.3f p95_ms=%.3f "
       "p99_ms=%.3f queue_wait_p95_ms=%.3f compute_p95_ms=%.3f",
@@ -59,7 +57,6 @@ std::string ServerStats::ToLine() const {
       static_cast<unsigned long long>(expired),
       static_cast<unsigned long long>(cancelled),
       static_cast<unsigned long long>(degraded),
-      static_cast<unsigned long long>(stale_served),
       static_cast<unsigned long long>(computed),
       static_cast<unsigned long long>(coalesced),
       static_cast<unsigned long long>(cache_hits),

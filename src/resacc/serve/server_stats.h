@@ -24,8 +24,6 @@ struct ServerStats {
   std::uint64_t degraded = 0;   // answered OK with an achieved-epsilon tag
                                 // above the configured bound
   std::uint64_t cancelled = 0;  // resolved with kCancelled via Cancel()
-  std::uint64_t stale_served = 0;  // stale cache entries served under
-                                   // overload (admission control)
 
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;

@@ -22,7 +22,7 @@ std::string JsonStats(const OpStats& s) {
       buf, sizeof(buf),
       "{\"sent\":%llu,\"ok\":%llu,\"rejected\":%llu,"
       "\"deadline_exceeded\":%llu,\"errors\":%llu,\"degraded\":%llu,"
-      "\"stale\":%llu,\"cache_hits\":%llu,\"certified\":%llu,"
+      "\"cache_hits\":%llu,\"certified\":%llu,"
       "\"mean_ms\":%.4f,\"p50_ms\":%.4f,\"p99_ms\":%.4f,\"p999_ms\":%.4f,"
       "\"max_ms\":%.4f}",
       static_cast<unsigned long long>(s.sent),
@@ -31,7 +31,6 @@ std::string JsonStats(const OpStats& s) {
       static_cast<unsigned long long>(s.deadline_exceeded),
       static_cast<unsigned long long>(s.errors),
       static_cast<unsigned long long>(s.degraded),
-      static_cast<unsigned long long>(s.stale),
       static_cast<unsigned long long>(s.cache_hits),
       static_cast<unsigned long long>(s.certified), s.latency.mean * 1e3,
       s.latency.p50 * 1e3, s.latency.p99 * 1e3, s.latency.p999 * 1e3,
@@ -274,7 +273,6 @@ void WorkloadTally::Record(std::size_t tenant, OpClass cls,
   }
   ++counts.ok;
   if (outcome.degraded) ++counts.degraded;
-  if (outcome.stale) ++counts.stale;
   if (outcome.cache_hit) ++counts.cache_hits;
   if (outcome.certified) ++counts.certified;
   cell.latency.Record(outcome.latency_seconds);
@@ -287,10 +285,9 @@ void WorkloadTally::Record(std::size_t tenant, OpClass cls,
 
 WorkloadReport WorkloadTally::Report(double wall_seconds) const {
   static constexpr std::uint64_t OpStats::*kCounts[] = {
-      &OpStats::sent,     &OpStats::ok,    &OpStats::rejected,
-      &OpStats::deadline_exceeded,         &OpStats::errors,
-      &OpStats::degraded, &OpStats::stale, &OpStats::cache_hits,
-      &OpStats::certified};
+      &OpStats::sent,     &OpStats::ok,         &OpStats::rejected,
+      &OpStats::deadline_exceeded,              &OpStats::errors,
+      &OpStats::degraded, &OpStats::cache_hits, &OpStats::certified};
   WorkloadReport report;
   report.wall_seconds = wall_seconds;
   report.seed = seed_;
@@ -331,11 +328,10 @@ void WorkloadDriver::RecordResponse(std::size_t tenant_index,
     outcome.kind = OpOutcome::Kind::kError;
   }
   outcome.degraded = response.degraded;
-  outcome.stale = response.stale;
   outcome.cache_hit = response.cache_hit;
   outcome.coalesced = response.coalesced;
   outcome.certified = op.cls == OpClass::kTopK && response.topk != nullptr &&
-                      response.top.size() >= op.top_k;
+                      response.topk->entries.size() >= op.top_k;
   outcome.latency_seconds = response.latency_seconds;
   tally_.Record(tenant_index, op.cls, outcome);
 }

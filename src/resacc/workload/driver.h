@@ -19,7 +19,7 @@ namespace resacc {
 
 // Outcome tallies for one (tenant, class) cell — or a per-class aggregate
 // across tenants. Counts partition `sent`; the flag counts (degraded,
-// stale, cache_hits, certified) annotate the `ok` subset.
+// cache_hits, certified) annotate the `ok` subset.
 struct OpStats {
   std::uint64_t sent = 0;
   std::uint64_t ok = 0;
@@ -27,7 +27,6 @@ struct OpStats {
   std::uint64_t deadline_exceeded = 0;  // kDeadlineExceeded
   std::uint64_t errors = 0;             // anything else non-OK
   std::uint64_t degraded = 0;
-  std::uint64_t stale = 0;
   std::uint64_t cache_hits = 0;
   // Top-k responses whose payload covers the requested k (certified
   // prefix or the documented wider certified set).
@@ -82,7 +81,6 @@ struct OpOutcome {
   Kind kind = Kind::kOk;
   // Annotations of an OK op.
   bool degraded = false;
-  bool stale = false;
   bool cache_hit = false;
   bool coalesced = false;
   bool certified = false;

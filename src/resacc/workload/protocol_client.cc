@@ -145,7 +145,6 @@ Status RunProtocolWorkload(const WorkloadSpec& spec, ProtocolClient& client,
       outcome.kind = OpOutcome::Kind::kError;
     }
     outcome.degraded = resp.degraded;
-    outcome.stale = resp.stale;
     outcome.cache_hit = resp.hit;
     outcome.coalesced = resp.coalesced;
     outcome.certified = op.cls == OpClass::kTopK && resp.k >= op.top_k;

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -353,47 +354,64 @@ TEST(SolverCancelTest, ForaAndMonteCarloReportHonestPartialResults) {
 
 // --- Serving layer --------------------------------------------------------
 
-// A deliberately slow MC configuration: delta ~ 1e-5 needs ~1e7 walks, a
-// solve in the hundreds of milliseconds — big enough that a 10ms deadline
-// cancels mid-walk rather than after the fact.
+// A tight configuration: delta ~ 1e-5 makes the remedy phase the long
+// one. Raised further by kSlowWalkScale where a test needs a full solve
+// far longer than a 10ms deadline.
 RwrConfig SlowConfig(const Graph& graph) {
   RwrConfig config = TestConfig(graph);
   config.delta = 1e-5;
   config.p_f = 1e-5;
   return config;
 }
+constexpr double kSlowWalkScale = 8.0;
+
+// A ResAcc phase hook that holds the worker at the start of `phase` until
+// `*release_at` has passed, so a deadline set before that instant fires
+// inside the phase on any machine instead of racing the solve.
+std::function<void(const char*)> HoldAtPhase(
+    const std::string& phase,
+    const CancellationToken::Clock::time_point* release_at) {
+  return [phase, release_at](const char* name) {
+    if (phase == name) std::this_thread::sleep_until(*release_at);
+  };
+}
 
 TEST(ServeCancelTest, DeadlineMidComputeReturnsFastWithoutBlockingWorker) {
   const Graph graph = ChungLuPowerLaw(500, 3000, 2.5, /*seed=*/17);
   const RwrConfig config = SlowConfig(graph);
+  ResAccOptions solver;
+  solver.walk_scale = kSlowWalkScale;
 
   // Baseline: how long the full solve takes (also warms nothing — the
   // service below uses its own solver instance).
-  MonteCarlo reference(graph, config);
+  ResAccSolver reference(graph, config, solver);
   Timer full_timer;
   reference.Query(7);
   const double full_seconds = full_timer.ElapsedSeconds();
   ASSERT_GT(full_seconds, 0.05) << "solve too fast to observe a cancel";
 
+  // Set just before the deadline query is submitted; the queue hand-off
+  // orders that write before the worker's read. Later queries find it in
+  // the past and are not held.
+  CancellationToken::Clock::time_point release_at{};
   ServeOptions options;
   options.num_workers = 1;
   options.cache_bytes = 0;  // no accidental hits
-  options.solver_factory = [&config](const Graph& g) {
-    return std::make_unique<MonteCarlo>(g, config);
-  };
-  options.cache_tag = 0x51;
+  options.solver = solver;
+  options.solver.phase_hook = HoldAtPhase("remedy", &release_at);
   QueryService service(graph, config, options);
 
   QueryRequest request;
   request.source = 7;
   request.deadline_seconds = 0.010;
+  release_at = CancellationToken::Clock::now() + std::chrono::milliseconds(15);
   Timer cancel_timer;
   const QueryResponse response = service.Query(request);
   const double cancel_seconds = cancel_timer.ElapsedSeconds();
 
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
   // The walk engine polls the token every block, so the return should be
-  // deadline + a block or two — far below the full solve. Generous slack
+  // the hold + a block or two — far below the full solve. Generous slack
   // for slow CI, but still a small fraction of the full solve.
   EXPECT_LT(cancel_seconds, 0.5 * full_seconds);
   EXPECT_LT(cancel_seconds, 0.25);
@@ -419,13 +437,13 @@ TEST(ServeCancelTest, AllowDegradedTurnsDeadlineIntoHonestPartialResult) {
   const Graph graph = ChungLuPowerLaw(500, 3000, 2.5, /*seed=*/17);
   const RwrConfig config = SlowConfig(graph);
 
+  // The top-k query is held at the start of its bound-driven top-k phase
+  // until its deadline has passed (see the test above for release_at).
+  CancellationToken::Clock::time_point release_at{};
   ServeOptions options;
   options.num_workers = 1;
   options.cache_bytes = 64 << 20;
-  options.solver_factory = [&config](const Graph& g) {
-    return std::make_unique<MonteCarlo>(g, config);
-  };
-  options.cache_tag = 0x52;
+  options.solver.phase_hook = HoldAtPhase("topk", &release_at);
   QueryService service(graph, config, options);
 
   QueryRequest request;
@@ -433,6 +451,7 @@ TEST(ServeCancelTest, AllowDegradedTurnsDeadlineIntoHonestPartialResult) {
   request.top_k = 5;
   request.deadline_seconds = 0.010;
   request.allow_degraded = true;
+  release_at = CancellationToken::Clock::now() + std::chrono::milliseconds(15);
   const QueryResponse response = service.Query(request);
 
   EXPECT_TRUE(response.status.ok());
@@ -445,7 +464,7 @@ TEST(ServeCancelTest, AllowDegradedTurnsDeadlineIntoHonestPartialResult) {
   EXPECT_TRUE(response.topk->degraded);
   EXPECT_GT(response.uncorrected_mass, 0.0);
   EXPECT_GT(response.achieved_epsilon, config.epsilon);
-  EXPECT_EQ(response.top.size(), 5u);
+  EXPECT_EQ(response.topk->entries.size(), 5u);
 
   // Degraded results must never be served from the cache: the same query
   // without a deadline computes fresh and comes back complete.

@@ -2,8 +2,11 @@
 // its error replies, the format/parse round trip of every verb and
 // optional token, reply formatting and parsing, whole-line reads, a
 // deterministic mutation fuzz of both parsers, and the server binary
-// itself answering over-long lines and out-of-range ids with exactly one
-// reply each.
+// itself: over-long lines and out-of-range ids get exactly one reply
+// each, cache hits report the epsilon of the answer they repeat, and an
+// unknown option stops it with exit status 2.
+
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <memory>
@@ -224,32 +227,29 @@ TEST(ProtocolRequestTest, WorkloadOpsFormatAsBefore) {
   EXPECT_EQ(ProtocolClient::FormatOp(op, "gold"), "rmedge 7 9");
 }
 
-QueryResponse OkResponse(bool hit, bool coalesced, bool degraded,
-                         bool stale) {
+QueryResponse OkResponse(bool hit, bool coalesced, bool degraded) {
   QueryResponse response;
   response.cache_hit = hit;
   response.coalesced = coalesced;
   response.degraded = degraded;
-  response.stale = stale;
   response.achieved_epsilon = 0.5;
   response.latency_seconds = 0.001234;
   return response;
 }
 
 TEST(ProtocolResponseTest, QueryReplyRoundTrips) {
-  QueryResponse response = OkResponse(true, false, true, false);
+  QueryResponse response = OkResponse(true, false, true);
   response.scores = std::make_shared<const std::vector<Score>>(
       std::vector<Score>{0.1, 0.5, 0.2, 0.2});
   const std::string line = FormatQueryResponse(3, 3, response);
   EXPECT_EQ(line,
-            "ok 3 hit=1 coalesced=0 degraded=1 stale=0 eps=0.5 us=1234 top "
+            "ok 3 hit=1 coalesced=0 degraded=1 eps=0.5 us=1234 top "
             "1:5.000000e-01 2:2.000000e-01 3:2.000000e-01");
   const ProtocolResponse parsed = ParseResponse(line);
   EXPECT_TRUE(parsed.ok);
   EXPECT_TRUE(parsed.hit);
   EXPECT_FALSE(parsed.coalesced);
   EXPECT_TRUE(parsed.degraded);
-  EXPECT_FALSE(parsed.stale);
   EXPECT_FALSE(parsed.certified);
   EXPECT_EQ(parsed.k, 0u);
   EXPECT_DOUBLE_EQ(parsed.latency_seconds, 1234e-6);
@@ -266,10 +266,10 @@ TEST(ProtocolResponseTest, TopKReplyRoundTripsAtAnyLength) {
   for (NodeId v = 0; v < 500; ++v) {
     topk->entries.push_back({v, 1.0 / (v + 1), 0.9 / (v + 1), 1.1 / (v + 1)});
   }
-  QueryResponse response = OkResponse(false, true, false, true);
+  QueryResponse response = OkResponse(false, true, false);
   response.topk = topk;
   const std::string line = FormatTopKResponse(12, response);
-  EXPECT_EQ(line.rfind("ok 12 hit=0 coalesced=1 degraded=0 stale=1 "
+  EXPECT_EQ(line.rfind("ok 12 hit=0 coalesced=1 degraded=0 "
                        "certified=1 k=500 eps=0.5 gap=1.000e-04 us=1234 top "
                        "0:1.000000e+00:9.000000e-01:1.100000e+00 ",
                        0),
@@ -278,11 +278,11 @@ TEST(ProtocolResponseTest, TopKReplyRoundTripsAtAnyLength) {
   const ProtocolResponse parsed = ParseResponse(line);
   EXPECT_TRUE(parsed.ok);
   EXPECT_TRUE(parsed.coalesced);
-  EXPECT_TRUE(parsed.stale);
+  EXPECT_FALSE(parsed.degraded);
   EXPECT_TRUE(parsed.certified);
   EXPECT_EQ(parsed.k, 500u);
 
-  QueryResponse missing = OkResponse(false, false, false, false);
+  QueryResponse missing = OkResponse(false, false, false);
   EXPECT_EQ(FormatTopKResponse(12, missing),
             "err top-k response missing payload");
 }
@@ -356,9 +356,9 @@ TEST(ProtocolFuzzTest, MutatedLinesParseOrFailCleanly) {
       "compact",
   };
   const std::vector<std::string> replies = {
-      "ok 3 hit=1 coalesced=0 degraded=1 stale=0 eps=0.5 us=1234 top "
+      "ok 3 hit=1 coalesced=0 degraded=1 eps=0.5 us=1234 top "
       "1:5.000000e-01 2:2.000000e-01",
-      "ok 12 hit=0 coalesced=1 degraded=0 stale=1 certified=1 k=2 eps=0.5 "
+      "ok 12 hit=0 coalesced=1 degraded=0 certified=1 k=2 eps=0.5 "
       "gap=1.000e-04 us=77 top 0:1.0e+00:9.0e-01:1.1e+00 "
       "1:5.0e-01:4.0e-01:6.0e-01",
       "err DEADLINE_EXCEEDED: deadline passed",
@@ -457,17 +457,32 @@ TEST(ProtocolLineTest, ReadsWholeLinesAndDropsOverlongOnes) {
   EXPECT_EQ(unbounded[0], std::make_pair(LineRead::kLine, huge));
 }
 
+// A snapshot of the Figure 1 graph under a per-test temporary name.
+std::string SaveTestGraph() {
+  const std::string path = ::testing::TempDir() + "/protocol_test_" +
+                           ::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name() +
+                           ".rsg";
+  EXPECT_TRUE(SaveSnapshot(testing::Figure1Graph(), path).ok());
+  return path;
+}
+
+// The word of `line` that starts with `key`, or "" when there is none.
+std::string Field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(" " + key);
+  if (at == std::string::npos) return "";
+  const std::size_t end = line.find(' ', at + 1);
+  return line.substr(at + 1, end == std::string::npos ? std::string::npos
+                                                      : end - at - 1);
+}
+
 // The real server through a pipe: every request line gets exactly one
 // reply, so replies stay aligned by position.
 class ServerProtocolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    graph_path_ = ::testing::TempDir() + "/protocol_test_" +
-                  ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name() +
-                  ".rsg";
-    ASSERT_TRUE(SaveSnapshot(testing::Figure1Graph(), graph_path_).ok());
+    graph_path_ = SaveTestGraph();
     ASSERT_TRUE(client_
                     .Spawn(std::string("exec '") + RESACC_SERVE_BINARY +
                            "' '" + graph_path_ + "' --workers=1 2>/dev/null")
@@ -528,6 +543,59 @@ TEST_F(ServerProtocolTest, OutOfRangeIdsAreRejectedNotWrapped) {
   const StatusOr<ProtocolInfo> parsed = ParseInfoResponse(info);
   ASSERT_TRUE(parsed.ok()) << info;
   EXPECT_EQ(parsed.value().epoch, 0u);
+}
+
+TEST_F(ServerProtocolTest, CacheHitRepliesCarryTheMissReplysEpsilon) {
+  // Each exchange waits for its replies, so the first answer is cached
+  // before the repeats arrive: they are hits, not coalesced followers.
+  const std::vector<std::string> misses = Exchange({"query 1 3", "topk 2 3"});
+  const std::vector<std::string> hits =
+      Exchange({"query 1 3", "topk 2 3", "topk 1 3"});
+  ASSERT_EQ(misses.size(), 2u);
+  ASSERT_EQ(hits.size(), 3u);
+  for (const std::string& miss : misses) {
+    EXPECT_EQ(Field(miss, "hit="), "hit=0") << miss;
+  }
+  for (const std::string& hit : hits) {
+    EXPECT_EQ(Field(hit, "hit="), "hit=1") << hit;
+  }
+  EXPECT_EQ(Field(misses[0], "eps="), "eps=0.5") << misses[0];
+  // A full hit, a top-k hit on a top-k entry, and a top-k hit bridged from
+  // the cached full vector.
+  EXPECT_EQ(Field(hits[0], "eps="), Field(misses[0], "eps=")) << hits[0];
+  EXPECT_EQ(Field(hits[1], "eps="), Field(misses[1], "eps=")) << hits[1];
+  EXPECT_EQ(Field(hits[2], "eps="), Field(misses[0], "eps=")) << hits[2];
+  // Everything after the flags repeats the miss byte for byte, save us=.
+  const auto tail = [](const std::string& line) {
+    return line.substr(line.find(" top"));
+  };
+  EXPECT_EQ(tail(hits[0]), tail(misses[0]));
+  EXPECT_EQ(tail(hits[1]), tail(misses[1]));
+}
+
+// An option the server does not read stops it before it serves, and each
+// unread option is named: here a flag the server does not have and a
+// typo.
+TEST(ServerOptionsTest, UnreadOptionsExitWithStatus2) {
+  const std::string graph_path = SaveTestGraph();
+  const std::string command = std::string("'") + RESACC_SERVE_BINARY +
+                              "' '" + graph_path +
+                              "' --workers=1 --cache-ttl=1 --bogus-flag=1 "
+                              "</dev/null 2>&1";
+  std::FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) output += buf;
+  const int status = pclose(pipe);
+  std::remove(graph_path.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output;
+  EXPECT_NE(output.find("--cache-ttl"), std::string::npos) << output;
+  EXPECT_NE(output.find("--bogus-flag"), std::string::npos) << output;
+  EXPECT_EQ(output.find("unknown option --workers"), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("ready"), std::string::npos) << output;
 }
 
 }  // namespace

@@ -27,6 +27,15 @@ RwrConfig TestConfig(const Graph& graph) {
   return config;
 }
 
+// A top-k payload's (node, estimate) pairs, in order.
+std::vector<std::pair<NodeId, Score>> Pairs(const TopKResult& topk) {
+  std::vector<std::pair<NodeId, Score>> pairs;
+  for (const TopKEntry& entry : topk.entries) {
+    pairs.emplace_back(entry.node, entry.estimate);
+  }
+  return pairs;
+}
+
 // Lets a test hold a worker hostage on a chosen source, making coalescing
 // and queue states deterministic instead of timing-dependent.
 class Gate {
@@ -429,10 +438,9 @@ TEST(QueryServiceTest, CacheHitOnRepeatAndTopK) {
   EXPECT_FALSE(first.cache_hit);
   EXPECT_EQ(first.scores, nullptr);
   ASSERT_NE(first.topk, nullptr);
-  ASSERT_EQ(first.top.size(), 5u);
-  // Top list is descending and mirrors the certified entries.
-  EXPECT_GE(first.top[0].second, first.top[4].second);
-  EXPECT_DOUBLE_EQ(first.topk->entries[0].estimate, first.top[0].second);
+  ASSERT_EQ(first.topk->entries.size(), 5u);
+  // Entries are descending and bracket their estimates.
+  EXPECT_GE(first.topk->entries[0].estimate, first.topk->entries[4].estimate);
   for (const TopKEntry& entry : first.topk->entries) {
     EXPECT_LE(entry.lower, entry.estimate);
     EXPECT_GE(entry.upper, entry.estimate);
@@ -442,7 +450,7 @@ TEST(QueryServiceTest, CacheHitOnRepeatAndTopK) {
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.cache_hit);
   ASSERT_NE(second.topk, nullptr);
-  EXPECT_EQ(second.top, first.top);
+  EXPECT_EQ(Pairs(*second.topk), Pairs(*first.topk));
   EXPECT_EQ(service.Snapshot().cache_hits, 1u);
   EXPECT_EQ(service.Snapshot().computed, 1u);
 
@@ -457,8 +465,76 @@ TEST(QueryServiceTest, CacheHitOnRepeatAndTopK) {
   ASSERT_TRUE(third.status.ok());
   EXPECT_TRUE(third.cache_hit);
   ASSERT_NE(third.topk, nullptr);
-  EXPECT_EQ(third.top.size(), 5u);
+  EXPECT_EQ(third.topk->entries.size(), 5u);
   EXPECT_EQ(service.Snapshot().computed, 2u);
+}
+
+// A cache hit reports the accuracy of the answer it hands out — the same
+// epsilon the computed answer reported — for each shape of hit.
+TEST(QueryServiceTest, FullHitCarriesTheComputedEpsilon) {
+  const Graph graph = ChungLuPowerLaw(500, 3000, 2.2, 10);
+  const RwrConfig config = TestConfig(graph);
+  ServeOptions options;
+  options.num_workers = 1;
+  QueryService service(graph, config, options);
+
+  const QueryResponse computed = service.Query(QueryRequest{3, 0, 0.0});
+  ASSERT_TRUE(computed.status.ok());
+  ASSERT_FALSE(computed.cache_hit);
+  EXPECT_EQ(computed.achieved_epsilon, config.epsilon);
+  const QueryResponse hit = service.Query(QueryRequest{3, 0, 0.0});
+  ASSERT_TRUE(hit.status.ok());
+  ASSERT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.achieved_epsilon, computed.achieved_epsilon);
+  EXPECT_EQ(hit.scores, computed.scores);
+}
+
+TEST(QueryServiceTest, TopKHitOnTopKEntryCarriesTheComputedEpsilon) {
+  const Graph graph = ChungLuPowerLaw(500, 3000, 2.2, 10);
+  const RwrConfig config = TestConfig(graph);
+  ServeOptions options;
+  options.num_workers = 1;
+  QueryService service(graph, config, options);
+
+  const QueryResponse computed = service.Query(QueryRequest{3, 5, 0.0});
+  ASSERT_TRUE(computed.status.ok());
+  ASSERT_FALSE(computed.cache_hit);
+  ASSERT_NE(computed.topk, nullptr);
+  EXPECT_GT(computed.achieved_epsilon, 0.0);
+  EXPECT_EQ(computed.achieved_epsilon, computed.topk->achieved_epsilon);
+  const QueryResponse hit = service.Query(QueryRequest{3, 5, 0.0});
+  ASSERT_TRUE(hit.status.ok());
+  ASSERT_TRUE(hit.cache_hit);
+  ASSERT_NE(hit.topk, nullptr);
+  EXPECT_EQ(hit.achieved_epsilon, computed.achieved_epsilon);
+  EXPECT_EQ(Pairs(*hit.topk), Pairs(*computed.topk));
+}
+
+TEST(QueryServiceTest, TopKHitBridgedFromFullEntryCarriesTheComputedEpsilon) {
+  const Graph graph = ChungLuPowerLaw(500, 3000, 2.2, 10);
+  const RwrConfig config = TestConfig(graph);
+  ServeOptions options;
+  options.num_workers = 1;
+  QueryService service(graph, config, options);
+
+  const QueryResponse computed = service.Query(QueryRequest{4, 0, 0.0});
+  ASSERT_TRUE(computed.status.ok());
+  ASSERT_FALSE(computed.cache_hit);
+  const QueryResponse hit = service.Query(QueryRequest{4, 5, 0.0});
+  ASSERT_TRUE(hit.status.ok());
+  ASSERT_TRUE(hit.cache_hit);
+  ASSERT_NE(hit.topk, nullptr);
+  EXPECT_EQ(hit.achieved_epsilon, computed.achieved_epsilon);
+  EXPECT_EQ(hit.topk->achieved_epsilon, computed.achieved_epsilon);
+  // The brackets are the ones that epsilon implies, so the reply's eps
+  // and its bounds agree.
+  const double eps = hit.achieved_epsilon;
+  ASSERT_EQ(hit.topk->entries.size(), 5u);
+  for (const TopKEntry& entry : hit.topk->entries) {
+    EXPECT_EQ(entry.estimate, (*computed.scores)[entry.node]);
+    EXPECT_DOUBLE_EQ(entry.lower, entry.estimate / (1.0 + eps));
+    EXPECT_DOUBLE_EQ(entry.upper, entry.estimate / (1.0 - eps));
+  }
 }
 
 TEST(QueryServiceTest, CoalescesIdenticalInFlightQueries) {
@@ -490,10 +566,10 @@ TEST(QueryServiceTest, CoalescesIdenticalInFlightQueries) {
     // top_k = 3 requests: every waiter shares the same top-k payload.
     ASSERT_NE(response.topk, nullptr);
     if (canonical.empty()) {
-      canonical = response.top;
+      canonical = Pairs(*response.topk);
       ASSERT_EQ(canonical.size(), 3u);
     } else {
-      EXPECT_EQ(response.top, canonical);
+      EXPECT_EQ(Pairs(*response.topk), canonical);
     }
   }
   EXPECT_EQ(coalesced, 3);  // leader + 3 attached

@@ -392,7 +392,7 @@ TEST(TopKServeTest, MixedShapeConcurrentClients) {
           // Top-k mode: a payload with at least k entries (a coalesced or
           // cached wider top-k' may legitimately carry more), no vector.
           if (response.topk == nullptr || response.scores != nullptr ||
-              response.top.size() < request.top_k) {
+              response.topk->entries.size() < request.top_k) {
             ++failures;
           }
         } else {

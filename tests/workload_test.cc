@@ -119,11 +119,11 @@ TEST(WorkloadTest, MixedClassStreamYieldsOnlyDocumentedOutcomes) {
       // explicitly degraded/certified-shorter prefix (topk->k tells how
       // far the certificate reaches).
       ASSERT_NE(response.topk, nullptr);
-      EXPECT_FALSE(response.top.empty());
+      EXPECT_FALSE(response.topk->entries.empty());
       if (!response.degraded) {
-        EXPECT_TRUE(response.top.size() >= pending.op.top_k ||
+        EXPECT_TRUE(response.topk->entries.size() >= pending.op.top_k ||
                     response.topk->k >= pending.op.top_k)
-            << "top-k response carries " << response.top.size()
+            << "top-k response carries " << response.topk->entries.size()
             << " entries, certified k=" << response.topk->k
             << ", asked for " << pending.op.top_k;
       }

@@ -1,16 +1,10 @@
 // resacc_serve — line-protocol RWR query server over stdin/stdout.
 //
-//   resacc_serve <graph> [--undirected] [--workers=N] [--queue=N]
-//                [--cache-mb=M] [--cache-ttl=SECONDS] [--no-coalesce]
-//                [--deadline-ms=D] [--allow-degraded] [--window=W]
-//                [--alpha=A] [--epsilon=E] [--seed=S]
-//                [--dangling=absorb|source] [--walk-threads=W]
-//                [--hybrid] [--hybrid-ratio=R]
-//                [--max-batch=B] [--batch-linger-us=U]
-//                [--stats-interval=SECONDS] [--compact-threshold=R]
-//                [--snapshot-prefix=PATH]
-//                [--invalidation=targeted|flush] [--invalidation-slack=S]
-//                [--tenants=name:weight,...]
+//   resacc_serve <graph> [options]
+//
+// kUsage below lists every option (docs/API.md describes them). Any
+// other option is named on stderr and the server exits 2 before it
+// starts serving.
 //
 // --tenants configures multi-tenant QoS (ServeOptions::tenant_weights):
 // each named tenant gets its own bounded admission lane and a weighted
@@ -42,6 +36,7 @@
 // pipelining client keeps every worker busy through a plain pipe and a
 // stop-and-wait client still gets each answer immediately.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -49,6 +44,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "resacc/graph/dynamic/mutable_graph_view.h"
 #include "resacc/graph/graph_io.h"
@@ -63,14 +59,26 @@
 
 using namespace resacc;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: resacc_serve <graph> [--undirected] [--workers=N] [--queue=N]\n"
+    "         [--cache-mb=M] [--no-coalesce] [--deadline-ms=D]\n"
+    "         [--allow-degraded] [--window=W]\n"
+    "         [--alpha=A] [--epsilon=E] [--seed=S]\n"
+    "         [--dangling=absorb|source] [--walk-threads=W]\n"
+    "         [--hybrid] [--hybrid-ratio=R]\n"
+    "         [--max-batch=B] [--batch-linger-us=U]\n"
+    "         [--stats-interval=SECONDS] [--compact-threshold=R]\n"
+    "         [--snapshot-prefix=PATH] [--invalidation=targeted|flush]\n"
+    "         [--tenants=name:weight,...]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   if (args.positionals().empty()) {
-    std::fprintf(stderr,
-                 "usage: resacc_serve <graph> [--workers=N] [--queue=N] "
-                 "[--cache-mb=M] [--no-coalesce] [--deadline-ms=D] "
-                 "[--window=W] [--walk-threads=W] "
-                 "[--stats-interval=SECONDS]\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
 
@@ -81,11 +89,14 @@ int main(int argc, char** argv) {
   const std::string& path = args.positionals()[0];
   const bool snapshot =
       path.size() >= 4 && path.compare(path.size() - 4, 4, ".rsg") == 0;
+  // Read in every mode, so passing it is never an unread option; a
+  // snapshot's CSR is loaded as saved.
+  const bool undirected = args.HasFlag("undirected");
   Timer load_timer;
   SnapshotLoadInfo load_info;
   const StatusOr<Graph> graph =
       snapshot ? LoadSnapshot(path, SnapshotLoadOptions{}, &load_info)
-               : LoadGraphAuto(path, args.HasFlag("undirected"));
+               : LoadGraphAuto(path, undirected);
   const double load_seconds = load_timer.ElapsedSeconds();
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
@@ -132,11 +143,9 @@ int main(int argc, char** argv) {
   options.coalesce = !args.HasFlag("no-coalesce");
   options.default_deadline_seconds =
       args.GetDouble("deadline-ms", 0.0) / 1e3;
-  // Staleness/degradation knobs (docs/API.md): a TTL turns on the
-  // serve-stale-under-overload admission control; --allow-degraded makes
-  // every query accept a deadline-truncated partial result (tagged
-  // degraded=1 with its honest eps) instead of an err line.
-  options.cache_ttl_seconds = args.GetDouble("cache-ttl", 0.0);
+  // --allow-degraded makes every query accept a deadline-truncated
+  // partial result (tagged degraded=1 with its honest eps) instead of an
+  // err line (docs/API.md).
   const bool allow_degraded = args.HasFlag("allow-degraded");
   // Walk-phase threads per worker solver. Default 1: the service already
   // runs one solver per worker, and scores never depend on this knob
@@ -165,7 +174,6 @@ int main(int argc, char** argv) {
       args.GetString("invalidation", "targeted") == "flush"
           ? ServeOptions::InvalidationMode::kFlushAll
           : ServeOptions::InvalidationMode::kTargeted;
-  options.invalidation_slack = args.GetDouble("invalidation-slack", 0.5);
   // Multi-tenant QoS: --tenants=gold:4,bronze:1 maps each name to a fair
   // queue lane with that weight (see the header comment's protocol notes).
   const std::string tenants_flag = args.GetString("tenants", "");
@@ -200,6 +208,23 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.GetInt("compact-threshold", 0));
   view_options.snapshot_path_prefix = args.GetString("snapshot-prefix", "");
   view_options.initial_generation = load_info.generation;
+  // Replies in flight; negative (the default) means two per worker.
+  const std::int64_t window_flag = args.GetInt("window", -1);
+  const double stats_interval = args.GetDouble("stats-interval", 0.0);
+
+  // Every option has been read: one that was not is a typo or a flag
+  // this server does not have, and silently ignoring it would serve with
+  // settings the operator did not ask for.
+  const std::vector<std::string> unread = args.UnusedOptions();
+  if (!unread.empty()) {
+    for (const std::string& name : unread) {
+      std::fprintf(stderr, "resacc_serve: unknown option --%s\n",
+                   name.c_str());
+    }
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+
   auto view = std::make_unique<MutableGraphView>(graph.value().ShallowView(),
                                                  view_options);
   const Graph serving_graph = view->Snapshot();
@@ -218,8 +243,9 @@ int main(int argc, char** argv) {
                      info.snapshot_path.empty() ? "" : " -> ",
                      info.snapshot_path.c_str());
       });
-  const std::size_t window = static_cast<std::size_t>(args.GetInt(
-      "window", static_cast<std::int64_t>(2 * service.num_workers())));
+  const std::size_t window = window_flag >= 0
+                                 ? static_cast<std::size_t>(window_flag)
+                                 : 2 * service.num_workers();
 
   std::fprintf(stderr, "[serve] ready: nodes=%u edges=%llu workers=%zu\n",
                graph.value().num_nodes(),
@@ -228,7 +254,6 @@ int main(int argc, char** argv) {
 
   // Periodic one-line stats on stderr (stdout carries the protocol).
   std::unique_ptr<StatsReporter> reporter;
-  const double stats_interval = args.GetDouble("stats-interval", 0.0);
   if (stats_interval > 0.0) {
     reporter = std::make_unique<StatsReporter>(
         stats_interval,
